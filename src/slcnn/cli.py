@@ -7,7 +7,8 @@ values that affect results; ``slcnn rerun manifest.json`` replays it.
 
 numpy (and its BLAS) is imported only after the ``--threads`` flag is
 applied to the thread-count environment variables, because the default of
-one BLAS thread is part of the determinism contract.
+one BLAS thread is part of the determinism contract.  The flag (or its
+default) overrides any inherited value.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _apply_thread_flag(argv: list[str]) -> None:
         elif arg.startswith("--threads="):
             threads = arg.split("=", 1)[1]
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+        os.environ[var] = threads
 
 
 def _resolve_input(path_str: str) -> Path:

@@ -8,6 +8,15 @@ sentence rows.  The "+v" variant inserts a vertical convolutional block
 sentences before the dense head.  After the first conv layer every bank
 convolves across all 128 channels.
 
+Because the HCBs never mix rows, the trunk runs them over the batch's
+sentence rows in blocks of at most ROW_BLOCK rows, which keeps each
+layer's operands in cache.  The blocks are balanced: ceil(R / ROW_BLOCK)
+blocks whose sizes differ by at most one, so no block is tiny (BLAS rounds
+tiny GEMMs differently) and a batch of at most ROW_BLOCK rows runs as one
+block.  The backward pass walks the same blocks and adds each block's conv
+weight and bias gradients into the first block's, in block order.  The VCB
+and the dense head run on the whole batch.
+
 Embeddings are frozen and live outside the model; trainable parameters
 are exactly the conv banks and the three dense layers.
 """
@@ -33,6 +42,13 @@ SLCNN_V = "slcnn+v"
 VARIANTS = (SLCNN, SLCNN_V)
 
 FC_SIZES = {"small": 512, "large": 1024}
+
+# Sentence rows per block of the HCB trunk.  A block's widest activation
+# (128 x 45 x 128 float32, 2.9 MB) fits a 4 MiB L2 cache, where the whole
+# Yelp-shape batch (1,280 rows, 29 MB) does not.  On a 2-core Xeon at one
+# BLAS thread, 96-160 tied for the fastest training step at the Yelp shape
+# (batch 64, 20 rows per doc) and 32-128 at the AG shape (4 rows per doc).
+ROW_BLOCK = 128
 
 CHECKPOINT_MAGIC = b"SLCN"
 CHECKPOINT_VERSION = 1
@@ -246,20 +262,50 @@ class Model:
 
     def _conv_trunk(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         self._check_input(x)
-        caches: list = []
-        y = x
-        for hcb in range(self.config.num_hcb):
-            bank_a, bank_b = self.conv_banks[2 * hcb], self.conv_banks[2 * hcb + 1]
-            y, c1 = nn.conv2d_forward(y, bank_a, "relu")
-            y, c2 = nn.conv2d_forward(y, bank_b, "relu")
-            y, cp = nn.maxpool_forward(y, nn.HORIZONTAL)
-            caches.append(("hcb", c1, c2, cp))
+        batch, rows = x.shape[:2]
+        flat = x.reshape(batch * rows, 1, *x.shape[2:])
+        blocks = _row_blocks(len(flat))
+        outs, block_caches = [], []
+        for block in blocks:
+            y, hcb_caches = self._hcb_forward(flat[block])
+            outs.append(y)
+            block_caches.append(hcb_caches)
+        y = np.concatenate(outs).reshape(batch, rows, 1, -1)
+        caches: list = [("hcb", blocks, block_caches)]
         if self.config.variant == SLCNN_V:
             y, c1 = nn.conv2d_forward(y, self.vcb_banks[0], "relu")
             y, c2 = nn.conv2d_forward(y, self.vcb_banks[1], "relu")
             y, cp = nn.maxpool_forward(y, nn.VERTICAL)
             caches.append(("vcb", c1, c2, cp))
         return y, caches
+
+    def _hcb_forward(self, y: np.ndarray) -> tuple[np.ndarray, list]:
+        """The HCBs over one block of sentence rows, shaped (R, 1, 46, c)."""
+        caches = []
+        for hcb in range(self.config.num_hcb):
+            bank_a, bank_b = self.conv_banks[2 * hcb], self.conv_banks[2 * hcb + 1]
+            y, c1 = nn.conv2d_forward(y, bank_a, "relu")
+            y, c2 = nn.conv2d_forward(y, bank_b, "relu")
+            y, cp = nn.maxpool_forward(y, nn.HORIZONTAL)
+            caches.append((c1, c2, cp))
+        return y, caches
+
+    def _hcb_backward(self, caches: list, g: np.ndarray) -> list[np.ndarray]:
+        """Conv-bank gradients of one row block, in param_blocks() order.
+
+        The first conv reads the frozen embeddings, so its input gradient
+        is never formed."""
+        grads: list = [None] * (4 * self.config.num_hcb)
+        for hcb in range(self.config.num_hcb - 1, -1, -1):
+            c1, c2, cp = caches[hcb]
+            g = nn.maxpool_backward(cp, g)
+            g, grads[4 * hcb + 2], grads[4 * hcb + 3] = nn.conv2d_backward(
+                self.conv_banks[2 * hcb + 1], c2, g
+            )
+            g, grads[4 * hcb], grads[4 * hcb + 1] = nn.conv2d_backward(
+                self.conv_banks[2 * hcb], c1, g, need_input_grad=hcb > 0
+            )
+        return grads
 
     def forward(
         self,
@@ -309,54 +355,27 @@ class Model:
             g, grads["vcb.conv1.w"], grads["vcb.conv1.b"] = nn.conv2d_backward(
                 self.vcb_banks[0], c1, g
             )
-        for hcb in range(self.config.num_hcb - 1, -1, -1):
-            kind, c1, c2, cp = stack.pop()
-            g = nn.maxpool_backward(cp, g)
-            prefix = f"hcb{hcb + 1}"
-            g, grads[f"{prefix}.conv2.w"], grads[f"{prefix}.conv2.b"] = nn.conv2d_backward(
-                self.conv_banks[2 * hcb + 1], c2, g
-            )
-            g, grads[f"{prefix}.conv1.w"], grads[f"{prefix}.conv1.b"] = nn.conv2d_backward(
-                self.conv_banks[2 * hcb], c1, g
-            )
-        return [grads[name] for name, _ in self.param_blocks()]
+        kind, blocks, block_caches = stack.pop()
+        g = g.reshape(-1, 1, 1, g.shape[-1])
+        # Block gradients are summed into the first block's arrays in block
+        # order, so the sum is fixed by the batch's row count.
+        conv_grads = self._hcb_backward(block_caches[0], g[blocks[0]])
+        for block, hcb_caches in zip(blocks[1:], block_caches[1:]):
+            for acc, part in zip(conv_grads, self._hcb_backward(hcb_caches, g[block])):
+                acc += part
+        names = [name for name, _ in self.param_blocks()]
+        grads.update(zip(names, conv_grads))
+        return [grads[name] for name in names]
 
 
-# --------------------------------------------------------------------------
-# Block-level ops
-# --------------------------------------------------------------------------
-
-def hcb_forward(
-    x: np.ndarray, bank_a: nn.ConvFilterBank, bank_b: nn.ConvFilterBank
-) -> np.ndarray:
-    """One horizontal block: two 1x2 conv+ReLU then horizontal max-pool.
-
-    Rows pass through untouched; width w becomes floor((w - 2) / 2).
-    """
-    width = x.shape[-2]
-    if width < 4:
-        raise nn.ShapeError(f"horizontal block needs width >= 4, got {width}")
-    y, _ = nn.conv2d_forward(x, bank_a, "relu")
-    y, _ = nn.conv2d_forward(y, bank_b, "relu")
-    y, _ = nn.maxpool_forward(y, nn.HORIZONTAL)
-    return y
-
-
-def vcb_forward(
-    x: np.ndarray, bank_a: nn.ConvFilterBank, bank_b: nn.ConvFilterBank
-) -> np.ndarray:
-    """The vertical block: two 2x1 conv+ReLU then vertical max-pool.
-
-    Rows r become floor((r - 2) / 2); r < 4 would pool an empty axis and is
-    rejected at configuration time.
-    """
-    rows = x.shape[-3]
-    if rows < 4:
-        raise nn.ShapeError(f"vertical block needs >= 4 rows, got {rows}")
-    y, _ = nn.conv2d_forward(x, bank_a, "relu")
-    y, _ = nn.conv2d_forward(y, bank_b, "relu")
-    y, _ = nn.maxpool_forward(y, nn.VERTICAL)
-    return y
+def _row_blocks(rows: int) -> list[slice]:
+    """ceil(rows / ROW_BLOCK) consecutive blocks whose sizes differ by at
+    most one, the shorter ones last: no block is much smaller than the
+    others, and a batch of at most ROW_BLOCK rows is one block."""
+    count = max(1, -(-rows // ROW_BLOCK))
+    size, extra = divmod(rows, count)
+    edges = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 # --------------------------------------------------------------------------

@@ -5,10 +5,13 @@ with channels innermost; every op also accepts a leading batch dimension.
 The model path runs in float32; float64 arrays are accepted so gradient
 checking can run a shadow copy at higher precision.
 
-Determinism contract: convolution accumulates filter taps in row-major
-(a, b) order, each tap contributing one float32 matmul over the channel
-axis; reductions never depend on iteration order of hashes or sets.  With
-a fixed BLAS thread count, results are bit-identical across runs.
+Determinism contract: every op is a fixed sequence of numpy calls on its
+operands.  Convolution adds one matmul over the channel axis per filter
+tap, in row-major (a, b) order; the model runs its HCB trunk in row blocks
+(see model.py) and sums their weight gradients in block order, so the
+summation order is fixed by the operand shapes.  Reductions never depend on
+the iteration order of hashes or sets.  With a fixed BLAS thread count,
+results are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -147,9 +150,16 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    bank: ConvFilterBank, cache: ConvCache, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. conv input, weights, and biases."""
+    bank: ConvFilterBank,
+    cache: ConvCache,
+    upstream: np.ndarray,
+    need_input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of a scalar loss w.r.t. conv input, weights, and biases.
+
+    With ``need_input_grad=False`` the input gradient is not computed and
+    None is returned in its place (the layer over frozen embeddings).
+    """
     up, batched = _batched(upstream, 3)
     if up.shape != cache.out_shape:
         raise ShapeError(f"upstream shape {up.shape} != forward output {cache.out_shape}")
@@ -162,17 +172,20 @@ def conv2d_backward(
 
     grad_b = up.sum(axis=(0, 1, 2))
     grad_w = np.zeros_like(w)
-    grad_x = np.zeros_like(xb)
+    grad_x = np.zeros_like(xb) if need_input_grad else None
     c_in = bank.in_channels
     up_flat = up.reshape(-1, bank.num_filters)
     for a in range(s):
         for b in range(t):
             window = xb[:, a : a + om, b : b + on, :].reshape(-1, c_in)
             grad_w[:, a, b, :] = up_flat.T @ window
-            grad_x[:, a : a + om, b : b + on, :] += (up_flat @ w[:, a, b, :]).reshape(
-                xb.shape[0], om, on, c_in
-            )
-    return (grad_x if batched else grad_x[0]), grad_w, grad_b
+            if grad_x is not None:
+                grad_x[:, a : a + om, b : b + on, :] += (up_flat @ w[:, a, b, :]).reshape(
+                    xb.shape[0], om, on, c_in
+                )
+    if grad_x is not None and not batched:
+        grad_x = grad_x[0]
+    return grad_x, grad_w, grad_b
 
 
 # --------------------------------------------------------------------------
@@ -194,6 +207,16 @@ def _pool_axis(x: np.ndarray, axis: str) -> int:
     raise ValueError(f"pooling axis must be {HORIZONTAL!r} or {VERTICAL!r}")
 
 
+def _pair_halves(x: np.ndarray, ax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the earlier and the later element of each adjacent pair
+    along axis *ax*; an odd trailing element is in neither."""
+    pairs = x.shape[ax] // 2
+    head = x[(slice(None),) * ax + (slice(0, 2 * pairs),)]
+    view = head.reshape(x.shape[:ax] + (pairs, 2) + x.shape[ax + 1 :])
+    lead = (slice(None),) * (ax + 1)
+    return view[lead + (0,)], view[lead + (1,)]
+
+
 def maxpool_forward(x: np.ndarray, axis: str) -> tuple[np.ndarray, PoolCache]:
     """Max over adjacent pairs along rows (vertical) or columns (horizontal).
 
@@ -206,15 +229,9 @@ def maxpool_forward(x: np.ndarray, axis: str) -> tuple[np.ndarray, PoolCache]:
     length = xb.shape[ax]
     if length < 2:
         raise ShapeError(f"cannot pool a dimension of length {length}")
-    pairs = length // 2
-
-    sl_a = [slice(None)] * xb.ndim
-    sl_b = [slice(None)] * xb.ndim
-    sl_a[ax] = slice(0, 2 * pairs, 2)
-    sl_b[ax] = slice(1, 2 * pairs, 2)
-    first, second = xb[tuple(sl_a)], xb[tuple(sl_b)]
+    first, second = _pair_halves(xb, ax)
     take_first = first >= second
-    out = np.where(take_first, first, second)
+    out = np.maximum(first, second)
     cache = PoolCache(in_shape=xb.shape, axis_index=ax, take_first=take_first)
     return (out if batched else out[0]), cache
 
@@ -226,15 +243,15 @@ def maxpool_backward(cache: PoolCache, upstream: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"upstream shape {up.shape} != pooled shape {cache.take_first.shape}"
         )
-    grad = np.zeros(cache.in_shape, dtype=up.dtype)
     ax = cache.axis_index
-    pairs = up.shape[ax]
-    sl_a = [slice(None)] * grad.ndim
-    sl_b = [slice(None)] * grad.ndim
-    sl_a[ax] = slice(0, 2 * pairs, 2)
-    sl_b[ax] = slice(1, 2 * pairs, 2)
-    grad[tuple(sl_a)] = np.where(cache.take_first, up, 0)
-    grad[tuple(sl_b)] = np.where(cache.take_first, 0, up)
+    grad = np.empty(cache.in_shape, dtype=up.dtype)
+    if cache.in_shape[ax] % 2:
+        grad[(slice(None),) * ax + (-1,)] = 0
+    first, second = _pair_halves(grad, ax)
+    # up - up * take_first is exactly up where the second element won and 0
+    # where the first did.
+    np.multiply(up, cache.take_first, out=first)
+    np.subtract(up, first, out=second)
     return grad if batched else grad[0]
 
 
@@ -421,10 +438,6 @@ def adam_step(
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
 
 
 def flatten_rows(x: np.ndarray) -> np.ndarray:

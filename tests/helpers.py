@@ -406,11 +406,11 @@ def network_margins(net: Model, x: np.ndarray) -> float:
     return smallest
 
 
-def end_to_end_grad_check(doc_len: int, batch: int = 1) -> float:
+def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn") -> float:
     """Max relative FD error over every parameter of a shrunken full network
     (num_filters=4, fc_size=8, 3 classes) in float64, ties excluded."""
     cfg = ModelConfig(
-        variant="slcnn", doc_len=doc_len, num_classes=3, fc_size=8, num_filters=4,
+        variant=variant, doc_len=doc_len, num_classes=3, fc_size=8, num_filters=4,
         seed=0, dropout_rate=0.0,
     )
     # A parameter step of epsilon shifts any pre-activation by at most

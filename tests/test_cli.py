@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
+from slcnn import cli
 from slcnn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +204,22 @@ class TestPredict:
             probs = json.loads(out)["probabilities"]
             assert abs(sum(probs) - 1.0) < 1e-6
             assert all(p >= 0 for p in probs)
+
+
+class TestThreadFlag:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("argv,want", [
+        (["train", "--threads", "2"], "2"),
+        (["train", "--threads=3"], "3"),
+        (["train"], "1"),
+    ])
+    def test_flag_overrides_inherited_environment(self, monkeypatch, argv, want):
+        for var in self.VARS:
+            monkeypatch.setenv(var, "8")
+        cli._apply_thread_flag(argv)
+        for var in self.VARS:
+            assert os.environ[var] == want
 
 
 class TestExitCodeContract:

@@ -17,14 +17,13 @@ from slcnn.model import (
     build_model,
     count_parameters,
     evaluate,
-    hcb_forward,
     hcb_width_schedule,
     load_checkpoint,
     predict_proba,
     save_checkpoint,
     train,
-    vcb_forward,
 )
+from slcnn import model
 
 F32 = np.float32
 
@@ -76,33 +75,31 @@ class TestShapeCollapse:
     @pytest.mark.parametrize("doc_len,expected", [(4, 1), (6, 2), (10, 4), (20, 9)])
     def test_vcb_row_recurrence(self, doc_len, expected):
         assert (doc_len - 2) // 2 == expected  # the recurrence itself
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(doc_len, 1, 8)).astype(F32)
-        banks = [
-            nn.ConvFilterBank(rng.normal(size=(8, 2, 1, 8)).astype(F32), np.zeros(8, F32))
-            for _ in range(2)
-        ]
-        y = vcb_forward(x, banks[0], banks[1])
-        assert y.shape == (expected, 1, 8)
+        net = _tiny_model("slcnn+v", doc_len)
+        x = np.random.default_rng(0).normal(size=(2, doc_len, 46, 6)).astype(F32)
+        assert net.features(x).shape == (2, expected, 1, 5)
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 20])
     def test_hcb_preserves_rows(self, rows):
-        rng = np.random.default_rng(rows)
-        x = rng.normal(size=(rows, 46, 6)).astype(F32)
-        bank1 = nn.ConvFilterBank(rng.normal(size=(5, 1, 2, 6)).astype(F32), np.zeros(5, F32))
-        bank2 = nn.ConvFilterBank(rng.normal(size=(5, 1, 2, 5)).astype(F32), np.zeros(5, F32))
-        y = hcb_forward(x, bank1, bank2)
-        assert y.shape == (rows, 22, 5)
+        net = _tiny_model("slcnn", rows)
+        x = np.random.default_rng(rows).normal(size=(2, rows, 46, 6)).astype(F32)
+        assert net.features(x).shape == (2, rows, 1, 5)
 
     def test_hcb_rejects_narrow_input(self):
-        bank = nn.ConvFilterBank(np.zeros((2, 1, 2, 3), F32), np.zeros(2, F32))
+        net = _tiny_model("slcnn", 4)
         with pytest.raises(nn.ShapeError):
-            hcb_forward(np.zeros((2, 3, 3), F32), bank, bank)
+            net.features(np.zeros((2, 4, 3, 6), F32))
 
     def test_vcb_rejects_few_rows(self):
-        bank = nn.ConvFilterBank(np.zeros((2, 2, 1, 3), F32), np.zeros(2, F32))
+        net = _tiny_model("slcnn+v", 4)
         with pytest.raises(nn.ShapeError):
-            vcb_forward(np.zeros((3, 1, 3), F32), bank, bank)
+            net.features(np.zeros((2, 3, 46, 6), F32))
+
+
+def _tiny_model(variant: str, doc_len: int) -> Model:
+    """A full trunk with 5 filters over 6-d embeddings."""
+    return build_model(ModelConfig(variant=variant, doc_len=doc_len, num_classes=3,
+                                   num_filters=5, embed_dim=6, fc_size=8))
 
 
 # --------------------------------------------------------------------------
@@ -414,6 +411,56 @@ class TestEndToEndGradients:
     def test_shrunken_config_four_rows(self):
         # The acceptance-grade check: doc_len=4, tolerance 1e-5.
         assert helpers.end_to_end_grad_check(doc_len=4) < 1e-5
+
+
+# --------------------------------------------------------------------------
+# Row blocks of the HCB trunk
+# --------------------------------------------------------------------------
+
+class TestRowBlocks:
+    @pytest.fixture
+    def three_row_blocks(self, monkeypatch):
+        # Small shapes then span several blocks, the last one shorter.
+        monkeypatch.setattr(model, "ROW_BLOCK", 3)
+
+    @pytest.mark.parametrize("rows", [1, 127, 128, 129, 256, 1280, 1281])
+    def test_blocks_are_balanced(self, rows):
+        sizes = [b.stop - b.start for b in model._row_blocks(rows)]
+        assert sum(sizes) == rows
+        assert len(sizes) == -(-rows // model.ROW_BLOCK)
+        assert max(sizes) <= model.ROW_BLOCK
+        assert max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
+    def test_gradients_across_blocks(self, three_row_blocks, variant):
+        # 2 docs x 4 rows = blocks of 3, 3, 2 rows, cutting through
+        # documents and through the VCB's row pairs.
+        assert helpers.end_to_end_grad_check(doc_len=4, batch=2, variant=variant) < 1e-5
+
+    def test_same_seed_training_bit_identical(self, three_row_blocks):
+        data = random_dataset(12, 4, 3, seed=27)
+
+        def run():
+            cfg = ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, seed=7,
+                              epochs=2, batch_size=5, num_filters=16, fc_size=32)
+            net = build_model(cfg)
+            report = train(net, data)
+            return report.train_loss, net.param_values()
+
+        loss_a, params_a = run()
+        loss_b, params_b = run()
+        assert loss_a == loss_b
+        for a, b in zip(params_a, params_b):
+            assert np.array_equal(a, b)
+
+    def test_features_match_per_document(self, three_row_blocks):
+        net = build_model(ModelConfig(variant="slcnn+v", doc_len=6, num_classes=3, seed=2))
+        x = np.random.default_rng(28).normal(0, 0.4, size=(5, 6, 46, 100)).astype(F32)
+        batched = net.features(x)
+        for i in range(len(x)):
+            np.testing.assert_allclose(batched[i : i + 1], net.features(x[i : i + 1]),
+                                       rtol=0, atol=1e-6)
 
 
 # --------------------------------------------------------------------------

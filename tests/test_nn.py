@@ -123,6 +123,19 @@ class TestConvBackwardTrivial:
         gx, gw, gb = nn.conv2d_backward(bank, cache, np.zeros_like(y))
         assert not gx.any() and not gw.any() and not gb.any()
 
+    @pytest.mark.parametrize("s,t", [(1, 2), (2, 1)])
+    def test_without_input_grad_same_param_grads(self, s, t):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 4, 5, 3)).astype(F32)
+        bank = _bank(rng.normal(size=(4, s, t, 3)), rng.normal(size=4))
+        y, cache = nn.conv2d_forward(x, bank, "relu")
+        up = rng.normal(size=y.shape).astype(F32)
+        _, gw, gb = nn.conv2d_backward(bank, cache, up)
+        gx, gw_only, gb_only = nn.conv2d_backward(bank, cache, up, need_input_grad=False)
+        assert gx is None
+        assert np.array_equal(gw_only, gw)
+        assert np.array_equal(gb_only, gb)
+
     def test_upstream_shape_mismatch(self):
         x = np.zeros((3, 5, 2), F32)
         bank = _bank(np.zeros((2, 1, 2, 2), F32))
