@@ -3,7 +3,15 @@
 JSON goes to stdout, logs to stderr.  Exit codes are a stable contract:
 0 success, 1 runtime failure, 2 usage or configuration error.  Every
 artifact-producing command writes a run manifest capturing all resolved
-values that affect results; ``slcnn rerun manifest.json`` replays it.
+values that affect results and the sha256 of every input;
+``slcnn rerun manifest.json`` replays it, after checking that every input
+still has that digest.  Artifacts (checkpoints, report, manifest, ``--out``
+files) are written to a temp file and renamed into place, so a failed write
+never leaves a truncated file.
+
+``eval`` makes one forward pass over the documents; accuracy and the
+confusion matrix both come from its predictions.  ``predict`` turns its text
+into a tensor through the same grid-dataset path as ``eval``.
 
 numpy (and its BLAS) is imported only after the ``--threads`` flag is
 applied to the thread-count environment variables, because the default of
@@ -62,10 +70,16 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_text(path: Path | str, text: str) -> None:
+    from .model import _write_atomic
+
+    _write_atomic(path, text.encode("utf-8"))
+
+
 def _emit(payload: dict, pretty: bool, out: str | None) -> None:
     text = json.dumps(payload, indent=2 if pretty else None, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write_text(out, text + "\n")
     print(text)
 
 
@@ -82,7 +96,7 @@ def _write_manifest(command: str, args: argparse.Namespace, digests: dict[str, s
         "input_digests": digests,
         "outputs": outputs,
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_schema(value: str | None) -> list[str] | None:
@@ -223,8 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         net.load_param_values(final_params)
 
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    _write_text(report_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     outputs.append(str(report_path))
 
     digests = {str(train_path): _sha256(train_path), str(emb_path): _sha256(emb_path)}
@@ -269,13 +282,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     docs = _limit_docs(_load_docs(args, data_path), args.limit, config.seed)
     grid = corpus.build_grid_dataset(docs, config.doc_len, config.sent_len)
     data = m.EmbeddedDataset.build(grid, table)
-    accuracy = m.evaluate(net, data)
-    confusion = m.confusion_matrix(net, data)
+    preds = m.predict_labels(net, data)
+    confusion = m.confusion_matrix(data.labels, preds, config.num_classes)
     payload = {
         "schema_version": 1,
         "checkpoint": str(ckpt_path),
         "num_documents": len(data),
-        "accuracy": accuracy,
+        "accuracy": int(confusion.trace()) / len(data),
         "confusion_matrix": confusion.tolist(),
     }
     _emit(payload, args.pretty, args.out)
@@ -296,10 +309,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     table = embedding.load_embeddings(emb_path, config.embed_dim, oov_seed=args.oov_seed)
 
     text = args.text if args.text is not None else sys.stdin.read()
-    doc = corpus.RawDocument(label=0, fields=[text])
-    grid = corpus.crop_pad(corpus.preprocess_document(doc), config.doc_len, config.sent_len)
-    tensor = embedding.tensorize(grid, table)
-    probs = m.predict_proba(net, tensor.data[None])[0]
+    grid = corpus.build_grid_dataset(
+        [corpus.RawDocument(label=0, fields=[text])], config.doc_len, config.sent_len
+    )
+    data = m.EmbeddedDataset.build(grid, table)
+    probs = m.predict_proba(net, data.tensors(slice(None)))[0]
     payload = {
         "schema_version": 1,
         "label": int(probs.argmax()),
@@ -315,6 +329,12 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     sub = _SUBCOMMANDS.get(command)
     if sub is None:
         raise ValueError(f"manifest names unknown command {command!r}")
+    for name, digest in manifest["input_digests"].items():
+        path = Path(name)
+        if not path.is_file():
+            raise FileNotFoundError(f"input named in the manifest is missing: {name}")
+        if _sha256(path) != digest:
+            raise ValueError(f"input changed since the manifest was written: {name}")
     replay = argparse.Namespace(**manifest["args"])
     if args.out_dir is not None and hasattr(replay, "out_dir"):
         replay.out_dir = args.out_dir
@@ -437,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except usage_errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (m.CheckpointError, corpus.GridFileError, m.TrainingDivergedError, OSError) as exc:
+    except (m.CheckpointError, m.TrainingDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

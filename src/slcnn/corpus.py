@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import re
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,11 +29,6 @@ log = logging.getLogger(__name__)
 # are lowercase and contain no angle brackets), so it cannot collide with
 # real vocabulary.  It always maps to the all-zeros embedding vector.
 PAD_TOKEN = "<pad>"
-
-# Grid file magic, see write_grid_file / read_grid_file.
-GRID_MAGIC = b"SLCG"
-GRID_VERSION = 1
-
 
 class DatasetFormatError(Exception):
     """Raised for unreadable dataset files or, in strict mode, bad rows."""
@@ -376,7 +370,7 @@ def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
 
 
 # --------------------------------------------------------------------------
-# Grid datasets and their binary file format
+# Grid datasets
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -435,66 +429,4 @@ def build_grid_dataset_from_token_docs(
         vocab=list(vocab),
         labels=np.array(labels, dtype=np.int64),
         grids=np.stack(grid_rows),
-    )
-
-
-class GridFileError(Exception):
-    """Raised for corrupt or incompatible grid files."""
-
-
-def write_grid_file(dataset: GridDataset, path: str | Path) -> None:
-    """Write a GridDataset as a packed binary file.
-
-    Layout (all integers little-endian): magic ``SLCG``, version byte,
-    u32 doc_len / sent_len / num_docs, u32 vocab size followed by
-    (u16 byte length, UTF-8 bytes) per token, then per document a u32
-    label and doc_len*sent_len u32 token ids in row-major order.
-    """
-    with Path(path).open("wb") as out:
-        out.write(GRID_MAGIC)
-        out.write(struct.pack("<B", GRID_VERSION))
-        out.write(struct.pack("<III", dataset.doc_len, dataset.sent_len, len(dataset)))
-        out.write(struct.pack("<I", len(dataset.vocab)))
-        for token in dataset.vocab:
-            raw = token.encode("utf-8")
-            out.write(struct.pack("<H", len(raw)))
-            out.write(raw)
-        for label, grid in zip(dataset.labels, dataset.grids):
-            out.write(struct.pack("<I", int(label)))
-            out.write(grid.astype("<u4").tobytes())
-
-
-def read_grid_file(path: str | Path) -> GridDataset:
-    """Read a file written by write_grid_file; validates magic and version."""
-    data = Path(path).read_bytes()
-    view = memoryview(data)
-
-    def take(n: int) -> memoryview:
-        nonlocal view
-        if len(view) < n:
-            raise GridFileError(f"truncated grid file: {path}")
-        chunk, view = view[:n], view[n:]
-        return chunk
-
-    if bytes(take(4)) != GRID_MAGIC:
-        raise GridFileError(f"not a grid file (bad magic): {path}")
-    (version,) = struct.unpack("<B", take(1))
-    if version != GRID_VERSION:
-        raise GridFileError(f"unsupported grid file version {version}: {path}")
-    doc_len, sent_len, num_docs = struct.unpack("<III", take(12))
-    (vocab_size,) = struct.unpack("<I", take(4))
-    vocab: list[str] = []
-    for _ in range(vocab_size):
-        (length,) = struct.unpack("<H", take(2))
-        vocab.append(bytes(take(length)).decode("utf-8"))
-    labels = np.empty(num_docs, dtype=np.int64)
-    grids = np.empty((num_docs, doc_len, sent_len), dtype=np.int32)
-    cells = doc_len * sent_len
-    for d in range(num_docs):
-        (labels[d],) = struct.unpack("<I", take(4))
-        grids[d] = np.frombuffer(take(4 * cells), dtype="<u4").reshape(doc_len, sent_len)
-    if len(view):
-        raise GridFileError(f"trailing bytes after last document: {path}")
-    return GridDataset(
-        doc_len=doc_len, sent_len=sent_len, vocab=vocab, labels=labels, grids=grids
     )

@@ -1,4 +1,4 @@
-"""Pretrained word vectors and document tensorization.
+"""Pretrained word vectors, and the rows a grid dataset's vocabulary indexes.
 
 Embeddings are frozen: they contribute no trainable parameters.  Tokens
 missing from the table get a deterministic random vector drawn uniformly
@@ -8,18 +8,16 @@ of lookup order, thread interleaving, and process restarts.
 
 from __future__ import annotations
 
-import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import PAD_TOKEN, TokenGrid
+from .corpus import PAD_TOKEN
 
 OOV_RANGE = 0.01
-
-VOCAB_CACHE_MAGIC = b"SLCV"
 
 
 class EmbeddingFormatError(Exception):
@@ -75,106 +73,88 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: str | Path, dim: int, *, oov_seed: int = 0) -> EmbeddingTable:
-    """Parse a text embedding file: one token plus *dim* decimals per line.
+    """Parse a text embedding file: one token plus *dim* values per line.
 
-    Duplicate tokens keep their first occurrence.  A line with the wrong
-    number of fields raises EmbeddingFormatError naming the line.
+    Fields are separated by single spaces, so a line is well formed when it
+    holds exactly *dim* spaces.  Duplicate tokens keep their first
+    occurrence, and the values of a later duplicate are not parsed.  Any
+    malformed line raises EmbeddingFormatError naming ``path:line``.
+
+    The file is read once.  Python splits off each token; the values of all
+    first occurrences go through one ``np.loadtxt`` call, so every float
+    conversion runs in numpy's C parser.  Its grammar is a decimal number
+    with an optional exponent, or inf/infinity/nan, signed and in any case,
+    rounded to float64 and then to float32.  That is stricter than Python
+    ``float()``: digit-group underscores (``1_0``) and non-ASCII digits are
+    rejected.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
-    rows: list[np.ndarray] = []
+
+    def first_values(lines: Iterable[str]) -> Iterator[str]:
+        for line in lines:
+            if line.count(" ") != dim:
+                raise EmbeddingFormatError  # located by _first_bad_line
+            token, _, values = line.partition(" ")
+            if token not in vocab:
+                vocab[token] = len(vocab)
+                yield values
+
     with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"{path}:{line_no}: expected token + {dim} values, got {len(parts)} fields"
-                )
-            token = parts[0]
-            if token in vocab:
-                continue
-            try:
-                vec = np.array(parts[1:], dtype=np.float32)
-            except ValueError as exc:
-                raise EmbeddingFormatError(f"{path}:{line_no}: {exc}") from None
-            vocab[token] = len(rows)
-            rows.append(vec)
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
+        try:
+            matrix = _parse_values(first_values(handle))
+        except (ValueError, EmbeddingFormatError):
+            matrix = None
+    if matrix is not None and not vocab:  # an empty file
+        matrix = np.zeros((0, dim), dtype=np.float32)
+    # A line whose values field is empty (dim 1) yields a blank line, which
+    # loadtxt skips, so the row count is checked as well.
+    if matrix is None or matrix.shape != (len(vocab), dim):
+        raise _first_bad_line(path, dim)
     return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix, oov_seed=oov_seed)
 
 
-@dataclass
-class DocTensor:
-    """The 3D document representation fed to the network."""
+def _parse_values(lines: Iterable[str]) -> np.ndarray:
+    """Rows of space-separated numbers, parsed by numpy's C reader."""
+    with warnings.catch_warnings():
+        # An input with no rows warns and returns an empty array; the
+        # caller's shape check covers that case.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=np.float32, delimiter=" ", comments=None,
+                          quotechar=None, ndmin=2)
 
-    data: np.ndarray  # (doc_len, sent_len, dim) float32
-    label: int
 
-
-def tensorize(grid: TokenGrid, table: EmbeddingTable, label: int = 0) -> DocTensor:
-    """Lookup every grid cell: out[i][j] = vector of grid token (i, j)."""
-    out = np.zeros((grid.doc_len, grid.sent_len, table.dim), dtype=np.float32)
-    for i, row in enumerate(grid.sentences):
-        for j, token in enumerate(row):
-            if token == PAD_TOKEN:
-                break
-            out[i, j] = table.lookup(token)
-    return DocTensor(data=out, label=label)
+def _first_bad_line(path: Path, dim: int) -> EmbeddingFormatError:
+    """Re-read *path* one line at a time, under the same rules as
+    load_embeddings, and describe the first line that breaks them."""
+    seen: set[str] = set()
+    with path.open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            fields = line.count(" ") + 1
+            if fields != dim + 1:
+                return EmbeddingFormatError(
+                    f"{path}:{line_no}: expected token + {dim} values, got {fields} fields"
+                )
+            token, _, values = line.partition(" ")
+            if token in seen:
+                continue
+            seen.add(token)
+            try:
+                row = _parse_values([values])
+            except ValueError as exc:
+                return EmbeddingFormatError(f"{path}:{line_no}: {exc}")
+            if row.shape != (1, dim):
+                return EmbeddingFormatError(f"{path}:{line_no}: empty value field")
+    return EmbeddingFormatError(f"{path}: malformed embedding file")
 
 
 def embedding_matrix_for_vocab(table: EmbeddingTable, vocab: Sequence[str]) -> np.ndarray:
     """Rows of *table* for a grid-dataset vocabulary, with id 0 = pad = zeros.
 
-    Row i+1 is table.lookup(vocab[i]), so the id-indexed batch path produces
-    bit-identical tensors to per-token tensorize().
+    Row i+1 is table.lookup(vocab[i]), so indexing this matrix with a grid
+    of ids gives the same tensor as looking up every grid token.
     """
     out = np.zeros((len(vocab) + 1, table.dim), dtype=np.float32)
     for i, token in enumerate(vocab):
         out[i + 1] = table.lookup(token)
     return out
-
-
-# --------------------------------------------------------------------------
-# On-disk cache of just the corpus-vocabulary rows
-# --------------------------------------------------------------------------
-
-def write_vocab_cache(table: EmbeddingTable, tokens: Iterable[str], path: str | Path) -> None:
-    """Write a binary slice of the table: magic ``SLCV``, u32 dim, u32 count,
-    then per token a u16 byte length, the UTF-8 bytes, and dim little-endian
-    float32 values."""
-    tokens = list(dict.fromkeys(tokens))
-    with Path(path).open("wb") as out:
-        out.write(VOCAB_CACHE_MAGIC)
-        out.write(struct.pack("<II", table.dim, len(tokens)))
-        for token in tokens:
-            raw = token.encode("utf-8")
-            out.write(struct.pack("<H", len(raw)))
-            out.write(raw)
-            out.write(table.lookup(token).astype("<f4").tobytes())
-
-
-def read_vocab_cache(path: str | Path, *, oov_seed: int = 0) -> EmbeddingTable:
-    """Load a cache written by write_vocab_cache as a small EmbeddingTable."""
-    data = Path(path).read_bytes()
-    view = memoryview(data)
-
-    def take(n: int) -> memoryview:
-        nonlocal view
-        if len(view) < n:
-            raise EmbeddingFormatError(f"truncated vocab cache: {path}")
-        chunk, view = view[:n], view[n:]
-        return chunk
-
-    if bytes(take(4)) != VOCAB_CACHE_MAGIC:
-        raise EmbeddingFormatError(f"not a vocab cache (bad magic): {path}")
-    dim, count = struct.unpack("<II", take(8))
-    vocab: dict[str, int] = {}
-    rows = np.empty((count, dim), dtype=np.float32)
-    for i in range(count):
-        (length,) = struct.unpack("<H", take(2))
-        token = bytes(take(length)).decode("utf-8")
-        rows[i] = np.frombuffer(take(4 * dim), dtype="<f4")
-        vocab[token] = i
-    if len(view):
-        raise EmbeddingFormatError(f"trailing bytes in vocab cache: {path}")
-    return EmbeddingTable(dim=dim, vocab=vocab, matrix=rows, oov_seed=oov_seed)

@@ -24,6 +24,8 @@ are exactly the conv banks and the three dense layers.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
 import time
 import zlib
@@ -541,11 +543,10 @@ def evaluate(model: Model, data: EmbeddedDataset, batch_size: int = 256) -> floa
     return float((preds == data.labels).mean())
 
 
-def confusion_matrix(model: Model, data: EmbeddedDataset, batch_size: int = 256) -> np.ndarray:
-    preds = predict_labels(model, data, batch_size)
-    c = model.config.num_classes
-    out = np.zeros((c, c), dtype=np.int64)
-    np.add.at(out, (data.labels, preds), 1)
+def confusion_matrix(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> np.ndarray:
+    """Counts of (true label, predicted label) pairs; rows are true labels."""
+    out = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(out, (labels, preds), 1)
     return out
 
 
@@ -572,7 +573,23 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         body += struct.pack(f"<{arr.ndim}I", *arr.shape)
         body += arr.astype("<f4", copy=False).tobytes()
     body += struct.pack("<I", zlib.crc32(bytes(body)))
-    Path(path).write_bytes(bytes(body))
+    _write_atomic(path, bytes(body))
+
+
+def _write_atomic(path: str | Path, data: bytes) -> None:
+    """Write *data* to a new temp file beside *path*, then rename it over
+    *path*, so a failed or interrupted write leaves any earlier file whole
+    and no partial one.  There is no fsync: this guards against the process
+    failing, not the host."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path, expect: ModelConfig | None = None) -> Model:

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from slcnn import nn
-from slcnn.corpus import RawDocument, preprocess_document
+from slcnn.corpus import PAD_TOKEN, RawDocument, TokenGrid, preprocess_document
+from slcnn.embedding import EmbeddingFormatError, EmbeddingTable
 from slcnn.gradcheck import grad_check
 from slcnn.model import Model, ModelConfig, build_model
 
@@ -145,6 +146,42 @@ def corpus_vocab(docs: list[RawDocument]) -> list[str]:
 # --------------------------------------------------------------------------
 # Independent oracles
 # --------------------------------------------------------------------------
+
+def load_embeddings_per_line(path: Path, dim: int) -> tuple[dict[str, int], np.ndarray]:
+    """The embedding-file oracle: one ``split(" ")`` and one ``np.array``
+    per line.  Returns (vocab, matrix) with first occurrences kept, or raises
+    EmbeddingFormatError naming the first malformed line."""
+    vocab: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    with path.open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != dim + 1:
+                raise EmbeddingFormatError(f"{path}:{line_no}: wrong field count")
+            token = parts[0]
+            if token in vocab:
+                continue
+            try:
+                with np.errstate(over="ignore"):  # 3e40 -> inf, as in numpy's reader
+                    vec = np.array(parts[1:], dtype=np.float32)
+            except ValueError as exc:
+                raise EmbeddingFormatError(f"{path}:{line_no}: {exc}") from None
+            vocab[token] = len(rows)
+            rows.append(vec)
+    matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
+    return vocab, matrix
+
+
+def tensorize(grid: TokenGrid, table: EmbeddingTable) -> np.ndarray:
+    """The tensorization oracle: out[i, j] = table.lookup(grid token (i, j)),
+    one lookup per cell, pad cells left zero."""
+    out = np.zeros((grid.doc_len, grid.sent_len, table.dim), dtype=np.float32)
+    for i, row in enumerate(grid.sentences):
+        for j, token in enumerate(row):
+            if token != PAD_TOKEN:
+                out[i, j] = table.lookup(token)
+    return out
+
 
 def naive_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
     """Six nested loops, float64 accumulation; the convolution oracle."""

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import helpers
-from slcnn import cli
+from slcnn import cli, corpus, embedding, nn
+from slcnn import model as m
 from slcnn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,6 +140,27 @@ class TestTrain:
         assert (tmp_path / "replay" / "model.slcnn").read_bytes() == \
                (trained / "model.slcnn").read_bytes()
 
+    def test_rerun_rejects_changed_input(self, synth_train_csv, synth_embeddings, tmp_path,
+                                         capsys):
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_bytes(synth_train_csv.read_bytes())
+        code, _, _ = run_cli([
+            "train", "--input", str(train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(tmp_path / "run"),
+            "--limit", "8", "--epochs", "1", "--batch-size", "8",
+        ], capsys)
+        assert code == 0
+        with train_csv.open("ab") as handle:
+            handle.write(b"\n")
+        code, _, err = run_cli(
+            ["rerun", str(tmp_path / "run" / "manifest.json"),
+             "--out-dir", str(tmp_path / "replay")],
+            capsys,
+        )
+        assert code == 2
+        assert str(train_csv) in err
+        assert not (tmp_path / "replay" / "model.slcnn").exists()
+
 
 class TestEval:
     def test_eval_json(self, trained, synth_train_csv, synth_embeddings, capsys):
@@ -153,6 +175,40 @@ class TestEval:
         confusion = np.array(payload["confusion_matrix"])
         assert confusion.shape == (4, 4)
         assert confusion.sum() == payload["num_documents"] == 48
+
+    def test_one_forward_pass_gives_two_pass_numbers(self, trained, synth_train_csv,
+                                                     synth_embeddings, monkeypatch, capsys):
+        calls = []
+        counted = m.predict_labels
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(m, "predict_labels", counting)
+        code, out, _ = run_cli([
+            "eval", "--checkpoint", str(trained / "model.slcnn"),
+            "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--limit", "48",
+        ], capsys)
+        monkeypatch.undo()
+        assert code == 0
+        assert calls == [48]
+
+        # The two-pass numbers: evaluate(), then a confusion matrix of a
+        # second predict_labels() pass, counted one document at a time.
+        net = m.load_checkpoint(trained / "model.slcnn")
+        table = embedding.load_embeddings(synth_embeddings, net.config.embed_dim)
+        docs = cli._limit_docs(list(corpus.load_dataset(synth_train_csv)), 48, net.config.seed)
+        data = m.EmbeddedDataset.build(
+            corpus.build_grid_dataset(docs, net.config.doc_len, net.config.sent_len), table
+        )
+        want = np.zeros((4, 4), dtype=np.int64)
+        for label, pred in zip(data.labels, m.predict_labels(net, data)):
+            want[label, pred] += 1
+        payload = json.loads(out)
+        assert payload["accuracy"] == m.evaluate(net, data)
+        assert payload["confusion_matrix"] == want.tolist()
 
     def test_dim_mismatch_exits_2(self, trained, synth_train_csv, synth_embeddings, capsys):
         code, _, err = run_cli([
@@ -204,6 +260,53 @@ class TestPredict:
             probs = json.loads(out)["probabilities"]
             assert abs(sum(probs) - 1.0) < 1e-6
             assert all(p >= 0 for p in probs)
+
+    def test_matches_eval_path_bit_for_bit(self, trained, synth_embeddings, capsys):
+        net = m.load_checkpoint(trained / "model.slcnn")
+        table = embedding.load_embeddings(synth_embeddings, net.config.embed_dim)
+        texts = ["", "Stocks rallied. Markets closed higher!", "zzqx blorp. " * 20]
+        for text in texts:
+            code, out, _ = run_cli([
+                "predict", "--checkpoint", str(trained / "model.slcnn"),
+                "--embeddings", str(synth_embeddings), "--text", text,
+            ], capsys)
+            assert code == 0
+            grid = corpus.build_grid_dataset([corpus.RawDocument(0, [text])],
+                                             net.config.doc_len, net.config.sent_len)
+            logits = net.forward(m.EmbeddedDataset.build(grid, table).tensors(slice(None)),
+                                 "eval")
+            assert json.loads(out)["probabilities"] == nn.softmax(logits)[0].tolist()
+
+
+class TestAtomicWrites:
+    @pytest.fixture
+    def failing_replace(self, monkeypatch):
+        def fail(src, dst):
+            raise OSError(f"cannot rename {src} to {dst}")
+
+        monkeypatch.setattr(os, "replace", fail)
+
+    def test_failed_checkpoint_write_keeps_old_file(self, trained, tmp_path, failing_replace):
+        target = tmp_path / "model.slcnn"
+        target.write_bytes((trained / "model.slcnn").read_bytes())
+        before = target.read_bytes()
+        fresh = m.build_model(m.load_checkpoint(target).config)
+        with pytest.raises(OSError, match="cannot rename"):
+            m.save_checkpoint(fresh, target)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.slcnn"]
+
+    def test_failed_out_write_exits_1_and_keeps_old_file(self, synth_train_csv, tmp_path,
+                                                         failing_replace, capsys):
+        target = tmp_path / "stats.json"
+        target.write_text("earlier\n", encoding="utf-8")
+        code, _, err = run_cli(
+            ["stats", "--input", str(synth_train_csv), "--out", str(target)], capsys
+        )
+        assert code == 1
+        assert "cannot rename" in err
+        assert target.read_text(encoding="utf-8") == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
 
 
 class TestThreadFlag:

@@ -16,7 +16,6 @@ from slcnn.corpus import (
     PAD_TOKEN,
     DatasetFormatError,
     EmptyCorpusError,
-    GridFileError,
     RawDocument,
     build_grid_dataset,
     clean_text,
@@ -25,10 +24,8 @@ from slcnn.corpus import (
     crop_pad,
     load_dataset,
     preprocess_document,
-    read_grid_file,
     split_sentences,
     tokenize_words,
-    write_grid_file,
 )
 
 
@@ -377,7 +374,7 @@ class TestPreprocessDocument:
 
 
 # --------------------------------------------------------------------------
-# grid dataset + binary format
+# grid dataset
 # --------------------------------------------------------------------------
 
 class TestGridDataset:
@@ -393,36 +390,3 @@ class TestGridDataset:
         assert ds.grids[0, 0, 2] == 0  # pad
         assert ds.grids[1, 0, :3].tolist() == [2, 3, 1]
         assert ds.labels.tolist() == [1, 0]
-
-    def test_roundtrip(self, tmp_path):
-        docs = helpers.make_synthetic_docs(5, seed=2)
-        ds = build_grid_dataset(docs, 3, 8)
-        path = tmp_path / "grids.slcg"
-        write_grid_file(ds, path)
-        back = read_grid_file(path)
-        assert back.doc_len == ds.doc_len and back.sent_len == ds.sent_len
-        assert back.vocab == ds.vocab
-        assert np.array_equal(back.labels, ds.labels)
-        assert np.array_equal(back.grids, ds.grids)
-
-    def test_magic_and_truncation_errors(self, tmp_path):
-        docs = helpers.make_synthetic_docs(2, seed=2)
-        ds = build_grid_dataset(docs, 2, 4)
-        path = tmp_path / "grids.slcg"
-        write_grid_file(ds, path)
-        raw = path.read_bytes()
-
-        bad_magic = tmp_path / "bad.slcg"
-        bad_magic.write_bytes(b"XXXX" + raw[4:])
-        with pytest.raises(GridFileError, match="magic"):
-            read_grid_file(bad_magic)
-
-        truncated = tmp_path / "trunc.slcg"
-        truncated.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(GridFileError, match="truncated"):
-            read_grid_file(truncated)
-
-        versioned = tmp_path / "ver.slcg"
-        versioned.write_bytes(raw[:4] + b"\x09" + raw[5:])
-        with pytest.raises(GridFileError, match="version"):
-            read_grid_file(versioned)

@@ -1,21 +1,31 @@
 from __future__ import annotations
 
+import re
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
-from slcnn.corpus import PAD_TOKEN, RawDocument, crop_pad, preprocess_document
+from slcnn.corpus import (
+    PAD_TOKEN,
+    RawDocument,
+    build_grid_dataset,
+    build_grid_dataset_from_token_docs,
+    crop_pad,
+    preprocess_document,
+)
 from slcnn.embedding import (
     EmbeddingFormatError,
     EmbeddingTable,
     embedding_matrix_for_vocab,
     load_embeddings,
-    read_vocab_cache,
-    tensorize,
-    write_vocab_cache,
 )
+from slcnn.model import EmbeddedDataset
 
 
 @pytest.fixture
@@ -49,6 +59,14 @@ class TestLoadEmbeddings:
         table = load_embeddings(path, 2)
         assert len(table.vocab) == 1
         assert table.lookup("a").tolist() == [1.0, 2.0]
+
+    def test_underscores_and_non_ascii_digits_rejected(self, tmp_path):
+        # Stricter than Python float(), which accepts both spellings.
+        for value in ("1_0", "\u0661"):
+            path = tmp_path / "emb.txt"
+            path.write_text(f"a 1.0 2.0\nb 3.0 {value}\n", encoding="utf-8")
+            with pytest.raises(EmbeddingFormatError, match=":2:"):
+                load_embeddings(path, 2)
 
     @pytest.mark.skipif(helpers.glove_file() is None,
                         reason="GloVe 6B.100d not present (set SLCNN_DATA_DIR)")
@@ -102,40 +120,43 @@ class TestLookup:
         assert len(table.oov_cache) == 1
 
 
+def _tensors(token_docs, doc_len: int, sent_len: int, table: EmbeddingTable) -> EmbeddedDataset:
+    grid = build_grid_dataset_from_token_docs(token_docs, doc_len, sent_len)
+    return EmbeddedDataset.build(grid, table)
+
+
 class TestTensorize:
     def test_all_pad_grid_is_zero(self, toy_table):
-        grid = crop_pad([], 3, 4)
-        tensor = tensorize(grid, toy_table, label=1)
-        assert tensor.data.shape == (3, 4, 2)
-        assert not tensor.data.any()
-        assert tensor.label == 1
+        data = _tensors([(1, [])], 3, 4, toy_table)
+        tensor = data.tensors(slice(None))
+        assert tensor.shape == (1, 3, 4, 2)
+        assert not tensor.any()
+        assert data.labels.tolist() == [1]
 
     def test_single_token(self, toy_table):
-        grid = crop_pad([["a"]], 2, 3)
-        tensor = tensorize(grid, toy_table)
-        assert tensor.data[0, 0].tolist() == [1.0, 2.0]
-        assert np.count_nonzero(tensor.data) == 2
+        tensor = _tensors([(0, [["a"]])], 2, 3, toy_table).tensors(0)
+        assert tensor[0, 0].tolist() == [1.0, 2.0]
+        assert np.count_nonzero(tensor) == 2
 
     def test_l1_sum_matches_per_token_recomputation(self, toy_table):
-        doc = preprocess_document(RawDocument(0, ["A b qzxv. B unknown a!"]))
-        grid = crop_pad(doc, 4, 5)
-        tensor = tensorize(grid, toy_table)
+        doc = RawDocument(0, ["A b qzxv. B unknown a!"])
+        tensor = EmbeddedDataset.build(build_grid_dataset([doc], 4, 5), toy_table).tensors(0)
+        grid = crop_pad(preprocess_document(doc), 4, 5)
         expected = sum(
             float(np.abs(toy_table.lookup(tok)).sum())
             for row in grid.sentences
             for tok in row
             if tok != PAD_TOKEN
         )
-        assert float(np.abs(tensor.data).sum()) == pytest.approx(expected, rel=1e-6)
+        assert float(np.abs(tensor).sum()) == pytest.approx(expected, rel=1e-6)
 
     def test_stage_is_pure_function_of_file_and_seed(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 0.5 -0.25\nb 1.5 2.5\n", encoding="utf-8")
-        doc = preprocess_document(RawDocument(0, ["A b mystery. Unknown b a."]))
-        grid = crop_pad(doc, 3, 4)
-        t1 = tensorize(grid, load_embeddings(path, 2, oov_seed=9))
-        t2 = tensorize(grid, load_embeddings(path, 2, oov_seed=9))
-        assert np.array_equal(t1.data, t2.data)
+        grid = build_grid_dataset([RawDocument(0, ["A b mystery. Unknown b a."])], 3, 4)
+        t1 = EmbeddedDataset.build(grid, load_embeddings(path, 2, oov_seed=9)).tensors(0)
+        t2 = EmbeddedDataset.build(grid, load_embeddings(path, 2, oov_seed=9)).tensors(0)
+        assert np.array_equal(t1, t2)
 
 
 class TestEmbeddingMatrix:
@@ -148,24 +169,119 @@ class TestEmbeddingMatrix:
             assert np.array_equal(matrix[i + 1], toy_table.lookup(token))
 
 
-class TestVocabCache:
-    def test_roundtrip(self, toy_table, tmp_path):
-        path = tmp_path / "slice.slcv"
-        write_vocab_cache(toy_table, ["a", "qzxv", "a"], path)
-        back = read_vocab_cache(path, oov_seed=42)
-        assert list(back.vocab) == ["a", "qzxv"]
-        assert np.array_equal(back.lookup("a"), toy_table.lookup("a"))
-        assert np.array_equal(back.lookup("qzxv"), toy_table.lookup("qzxv"))
+# --------------------------------------------------------------------------
+# The one-pass parser against the per-line oracle
+# --------------------------------------------------------------------------
 
-    def test_corruption_errors(self, toy_table, tmp_path):
-        path = tmp_path / "slice.slcv"
-        write_vocab_cache(toy_table, ["a"], path)
-        raw = path.read_bytes()
-        bad = tmp_path / "bad.slcv"
-        bad.write_bytes(b"NOPE" + raw[4:])
-        with pytest.raises(EmbeddingFormatError, match="magic"):
-            read_vocab_cache(bad)
-        trunc = tmp_path / "t.slcv"
-        trunc.write_bytes(raw[:-3])
-        with pytest.raises(EmbeddingFormatError, match="truncated"):
-            read_vocab_cache(trunc)
+# Tokens may hold any character but the field separator and line breaks.
+TOKENS = st.text(st.characters(blacklist_characters=" \n\r", blacklist_categories=("Cs",)),
+                 max_size=5)
+VALUES = st.one_of(
+    st.floats(width=32).flatmap(
+        lambda x: st.sampled_from([f"{x:.4f}", repr(x), f"{x:e}"])
+    ),
+    st.floats().map(repr),
+    st.sampled_from(["-0.0", "inf", "-inf", "nan", "-nan", "Infinity", "NaN", "1e-50", "3e40"]),
+)
+
+
+@st.composite
+def embedding_lines(draw) -> tuple[int, list[str]]:
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(TOKENS, min_size=1, max_size=6))  # small pool: duplicates
+    lines = [
+        " ".join([draw(st.sampled_from(pool)), *draw(st.lists(VALUES, min_size=dim,
+                                                                max_size=dim))])
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    return dim, lines
+
+
+def _write(lines: list[str], eol: str, final_eol: bool, directory: str) -> Path:
+    text = eol.join(lines) + (eol if lines and final_eol else "")
+    path = Path(directory) / "emb.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _outcome(load, path: Path):
+    """("ok", vocab, matrix bits) or ("error", line number)."""
+    try:
+        vocab, matrix = load(path)
+    except EmbeddingFormatError as exc:
+        return ("error", int(re.search(r":(\d+):", str(exc)).group(1)))
+    return ("ok", vocab, matrix.shape, matrix.view(np.uint32).tobytes())
+
+
+def _both(path: Path, dim: int):
+    def new(p):
+        table = load_embeddings(p, dim)
+        return table.vocab, table.matrix
+
+    return _outcome(new, path), _outcome(lambda p: helpers.load_embeddings_per_line(p, dim),
+                                         path)
+
+
+MALFORMED = {
+    "extra field": lambda dim: "bad " + " ".join(["1.5"] * (dim + 1)),
+    "missing field": lambda dim: "bad " + " ".join(["1.5"] * (dim - 1)),
+    "bad number": lambda dim: "bad " + " ".join(["1.5"] * (dim - 1) + ["oops"]),
+    "double dot": lambda dim: "bad " + " ".join(["1.2.3"] + ["1.5"] * (dim - 1)),
+    "empty field": lambda dim: "bad " + " ".join([""] + ["1.5"] * (dim - 1)),
+    "trailing space": lambda dim: "bad " + " ".join(["1.5"] * dim) + " ",
+    "blank line": lambda dim: "",
+}
+
+
+class TestOnePassParser:
+    @settings(max_examples=300, deadline=None)
+    @given(embedding_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @example((3, []), "\n", True)
+    def test_matches_per_line_oracle(self, case, eol, final_eol):
+        dim, lines = case
+        with tempfile.TemporaryDirectory() as tmp:
+            new, oracle = _both(_write(lines, eol, final_eol, tmp), dim)
+        assert new[0] == "ok"
+        assert new == oracle
+        if not lines:
+            assert new[2] == (0, dim)
+
+    @settings(max_examples=300, deadline=None)
+    @given(embedding_lines(), st.sampled_from(sorted(MALFORMED)), st.data(),
+           st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_malformed_line_named_like_oracle(self, case, kind, data, eol, final_eol):
+        dim, lines = case
+        at = data.draw(st.integers(0, len(lines)))
+        lines = lines[:at] + [MALFORMED[kind](dim)] + lines[at:]
+        with tempfile.TemporaryDirectory() as tmp:
+            new, oracle = _both(_write(lines, eol, final_eol, tmp), dim)
+        assert new == oracle
+
+    @pytest.mark.parametrize("text,dim,line", [
+        ("a 1 2\nb 1 2 3\n", 2, 2),
+        ("a 1 2\nb 1\n", 2, 2),
+        ("a 1 2\nb 1 x\n", 2, 2),
+        ("a 1 2\nb  2\n", 2, 2),
+        ("a 1 2\nb 1 2 \n", 2, 2),
+        ("a 1 2\n\nb 1 2\n", 2, 2),
+        ("a 1\nb \nc 2\n", 1, 2),
+        ("a 1\nb ", 1, 2),
+        ("a \n", 1, 1),
+        ("a 1 2\nb 1 x\nc 1\n", 2, 2),
+        ("a 1 2\nb 1\nc 1 x\n", 2, 2),
+        ("a 1 2\na 1 x\nb 1 y\n", 2, 3),
+    ], ids=["arity-extra", "arity-missing", "bad-number", "empty-field", "trailing-space",
+            "blank-line", "dim1-empty-value", "dim1-empty-value-at-eof", "dim1-first-line",
+            "number-before-arity", "arity-before-number", "duplicate-values-unparsed"])
+    def test_malformed_cases(self, tmp_path, text, dim, line):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        new, oracle = _both(path, dim)
+        assert new == oracle == ("error", line)
+
+    def test_bad_value_on_duplicate_line_is_not_parsed(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 2.0\na 1.0 oops\n", encoding="utf-8")
+        new, oracle = _both(path, 2)
+        assert new == oracle
+        assert new[0] == "ok"

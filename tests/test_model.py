@@ -470,7 +470,7 @@ class TestRowBlocks:
 class TestEmbeddedDataset:
     def test_id_path_matches_tensorize(self, tmp_path):
         from slcnn.corpus import build_grid_dataset, crop_pad, preprocess_document
-        from slcnn.embedding import load_embeddings, tensorize
+        from slcnn.embedding import load_embeddings
 
         docs = helpers.make_synthetic_docs(4, seed=50)
         emb_path = helpers.write_embeddings_file(
@@ -481,5 +481,5 @@ class TestEmbeddedDataset:
         data = EmbeddedDataset.build(grid_ds, table)
         batch = data.tensors(np.arange(len(docs)))
         for i, doc in enumerate(docs):
-            direct = tensorize(crop_pad(preprocess_document(doc), 3, 10), table)
-            assert np.array_equal(batch[i], direct.data)
+            direct = helpers.tensorize(crop_pad(preprocess_document(doc), 3, 10), table)
+            assert np.array_equal(batch[i], direct)
