@@ -16,7 +16,8 @@ into a tensor through the same grid-dataset path as ``eval``.
 numpy (and its BLAS) is imported only after the ``--threads`` flag is
 applied to the thread-count environment variables, because the default of
 one BLAS thread is part of the determinism contract.  The flag (or its
-default) overrides any inherited value.
+default) overrides any inherited value; ``rerun`` uses the count recorded
+in its manifest.
 """
 
 from __future__ import annotations
@@ -38,15 +39,22 @@ MANIFEST_SCHEMA_VERSION = 1
 DATA_DIR_ENV = "SLCNN_DATA_DIR"
 
 
-def _apply_thread_flag(argv: list[str]) -> None:
-    threads = "1"
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
+def _apply_thread_flag(args: argparse.Namespace) -> None:
+    threads = getattr(args, "threads", 1)
+    if args.command == "rerun":
+        try:  # cmd_rerun reports an unreadable manifest
+            manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+            threads = manifest["args"]["threads"]
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = threads
+        os.environ[var] = str(threads)
+
+
+def _positive_int(value: str) -> int:
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _resolve_input(path_str: str) -> Path:
@@ -123,23 +131,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_docs(args, path: Path):
+def _load_docs(args, path: Path, limit: int | None = None, seed: int = 0):
+    """The usable documents of *path*; with *limit*, a seeded subset of that many."""
+    import numpy as np
     from . import corpus
+    from .model import STREAM_LIMIT
 
     docs = list(corpus.load_dataset(path, _parse_schema(args.schema), strict=args.strict))
     if not docs:
         raise corpus.DatasetFormatError(f"no usable documents in {path}")
-    return docs
-
-
-def _limit_docs(docs, limit: int | None, seed: int):
-    import numpy as np
-    from .model import STREAM_LIMIT
-
     if limit is None or limit >= len(docs):
         return docs
     order = np.random.default_rng([seed, STREAM_LIMIT]).permutation(len(docs))
     return [docs[i] for i in order[:limit]]
+
+
+def _check_labels(docs, num_classes: int, path: Path) -> None:
+    """Usage error when a dataset holds a label the model has no class for."""
+    top = max(doc.label for doc in docs) + 1
+    if top > num_classes:
+        raise ValueError(f"{path}: class index {top} is outside the model's {num_classes} classes")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -152,9 +163,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     test_path = _resolve_input(args.test) if args.test else None
     val_path = _resolve_input(args.val) if args.val else None
 
-    docs = _limit_docs(_load_docs(args, train_path), args.limit, args.seed)
+    docs = _load_docs(args, train_path, args.limit, args.seed)
+    val_docs = _load_docs(args, val_path) if val_path else None
+    test_docs = _load_docs(args, test_path, args.test_limit, args.seed) if test_path else None
+    num_classes = args.classes or (max(doc.label for doc in docs) + 1)
+    for path, dataset in ((train_path, docs), (val_path, val_docs), (test_path, test_docs)):
+        if dataset is not None:
+            _check_labels(dataset, num_classes, path)
     token_docs = [(doc.label, corpus.preprocess_document(doc)) for doc in docs]
-    num_classes = args.classes or (max(label for label, _ in token_docs) + 1)
     doc_len = args.td or corpus.compute_doc_threshold(
         [len(tokens) for _, tokens in token_docs]
     )
@@ -180,8 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     grid_ds = corpus.build_grid_dataset_from_token_docs(token_docs, doc_len, args.ts)
     full = m.EmbeddedDataset.build(grid_ds, table)
 
-    if val_path is not None:
-        val_docs = _load_docs(args, val_path)
+    if val_docs is not None:
         val_grid = corpus.build_grid_dataset(val_docs, doc_len, args.ts)
         train_data = full
         val_data = m.EmbeddedDataset.build(val_grid, table)
@@ -212,8 +227,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     report = m.train(net, train_data, val_data, log_fn=log_epoch)
 
     test_data = None
-    if test_path is not None:
-        test_docs = _limit_docs(_load_docs(args, test_path), args.test_limit, args.seed)
+    if test_docs is not None:
         test_grid = corpus.build_grid_dataset(test_docs, doc_len, args.ts)
         test_data = m.EmbeddedDataset.build(test_grid, table)
         report.test_accuracy_final = m.evaluate(net, test_data)
@@ -279,7 +293,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     table = embedding.load_embeddings(emb_path, config.embed_dim, oov_seed=args.oov_seed)
 
-    docs = _limit_docs(_load_docs(args, data_path), args.limit, config.seed)
+    docs = _load_docs(args, data_path, args.limit, config.seed)
+    _check_labels(docs, config.num_classes, data_path)
     grid = corpus.build_grid_dataset(docs, config.doc_len, config.sent_len)
     data = m.EmbeddedDataset.build(grid, table)
     preds = m.predict_labels(net, data)
@@ -359,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true",
                        help="abort on malformed dataset rows instead of skipping them")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="BLAS thread count (default 1 for strict determinism)")
 
     p = sub.add_parser("stats", help="corpus statistics incl. the derived document threshold")
@@ -386,8 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oov-seed", type=int, default=0)
-    p.add_argument("--limit", type=int, help="train on a seeded subset of N documents")
-    p.add_argument("--test-limit", type=int, help="evaluate on a seeded subset of N test documents")
+    p.add_argument("--limit", type=_positive_int,
+                   help="train on a seeded subset of N documents")
+    p.add_argument("--test-limit", type=_positive_int,
+                   help="evaluate on a seeded subset of N test documents")
     p.add_argument("--val-frac", type=float, default=0.05,
                    help="validation fraction when --val is absent (0 disables)")
     p.add_argument("--out-dir", required=True)
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--dim", type=int, help="must match the checkpoint when given")
     p.add_argument("--oov-seed", type=int, default=0)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_positive_int)
     p.add_argument("--out", help="also write the JSON to this file")
     common_io(p)
     p.set_defaults(handler=cmd_eval)
@@ -431,14 +448,11 @@ _SUBCOMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    _apply_thread_flag(argv)
+    args = build_parser().parse_args(argv)
+    _apply_thread_flag(args)
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
 
     from . import corpus, embedding, model as m
 

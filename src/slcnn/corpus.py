@@ -17,18 +17,13 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 log = logging.getLogger(__name__)
-
-# Distinguished pad marker.  tokenize_words can never produce it (tokens
-# are lowercase and contain no angle brackets), so it cannot collide with
-# real vocabulary.  It always maps to the all-zeros embedding vector.
-PAD_TOKEN = "<pad>"
 
 class DatasetFormatError(Exception):
     """Raised for unreadable dataset files or, in strict mode, bad rows."""
@@ -53,27 +48,6 @@ class RawDocument:
         # Terminate every non-final field so it splits off as a sentence.
         head = [p if p.endswith((".", "!", "?")) else p + "." for p in parts[:-1]]
         return " ".join(head + parts[-1:])
-
-
-@dataclass
-class TokenGrid:
-    """A document cropped/padded to exactly doc_len x sent_len tokens.
-
-    Padding always forms suffixes: within a row after the real words, and
-    whole all-pad rows only after the real sentences.
-    """
-
-    sentences: list[list[str]]
-    real_sentence_count: int
-    real_word_counts: list[int]
-
-    @property
-    def doc_len(self) -> int:
-        return len(self.sentences)
-
-    @property
-    def sent_len(self) -> int:
-        return len(self.sentences[0]) if self.sentences else 0
 
 
 @dataclass
@@ -284,31 +258,6 @@ def compute_doc_threshold(sentence_counts: Sequence[int]) -> int:
     return max(1, math.ceil(value))
 
 
-def crop_pad(doc: list[list[str]], doc_len: int, sent_len: int) -> TokenGrid:
-    """Crop/pad per-sentence token lists to a fixed doc_len x sent_len grid.
-
-    Keeps the first *doc_len* sentences and the first *sent_len* tokens of
-    each; shorter dimensions are filled with PAD_TOKEN.
-    """
-    if doc_len < 1 or sent_len < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    kept = doc[:doc_len]
-    rows: list[list[str]] = []
-    word_counts: list[int] = []
-    for sent in kept:
-        words = sent[:sent_len]
-        word_counts.append(len(words))
-        rows.append(words + [PAD_TOKEN] * (sent_len - len(words)))
-    while len(rows) < doc_len:
-        rows.append([PAD_TOKEN] * sent_len)
-        word_counts.append(0)
-    return TokenGrid(
-        sentences=rows,
-        real_sentence_count=len(kept),
-        real_word_counts=word_counts,
-    )
-
-
 def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
     """Single-pass corpus statistics over preprocessed documents.
 
@@ -382,10 +331,6 @@ class GridDataset:
     vocab: list[str]
     labels: np.ndarray  # (N,) int64
     grids: np.ndarray  # (N, doc_len, sent_len) int32
-    index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.index = {tok: i + 1 for i, tok in enumerate(self.vocab)}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -394,7 +339,7 @@ class GridDataset:
 def build_grid_dataset(
     docs: Iterable[RawDocument], doc_len: int, sent_len: int
 ) -> GridDataset:
-    """Preprocess, crop/pad and id-encode a dataset; vocab is first-seen order."""
+    """Preprocess, crop and id-encode a dataset; vocab is first-seen order."""
     return build_grid_dataset_from_token_docs(
         ((doc.label, preprocess_document(doc)) for doc in docs), doc_len, sent_len
     )
@@ -403,22 +348,21 @@ def build_grid_dataset(
 def build_grid_dataset_from_token_docs(
     token_docs: Iterable[tuple[int, list[list[str]]]], doc_len: int, sent_len: int
 ) -> GridDataset:
-    """Crop/pad and id-encode already-preprocessed (label, sentences) pairs."""
+    """Crop and id-encode already-preprocessed (label, sentences) pairs.
+
+    Keeps the first *doc_len* sentences and the first *sent_len* tokens of
+    each; every other cell holds the pad id 0.
+    """
+    if doc_len < 1 or sent_len < 1:
+        raise ValueError("grid dimensions must be >= 1")
     vocab: dict[str, int] = {}
     labels: list[int] = []
     grid_rows: list[np.ndarray] = []
     for label, token_lists in token_docs:
-        grid = crop_pad(token_lists, doc_len, sent_len)
         ids = np.zeros((doc_len, sent_len), dtype=np.int32)
-        for i, row in enumerate(grid.sentences):
-            for j, tok in enumerate(row):
-                if tok == PAD_TOKEN:
-                    break
-                token_id = vocab.get(tok)
-                if token_id is None:
-                    token_id = len(vocab) + 1
-                    vocab[tok] = token_id
-                ids[i, j] = token_id
+        for i, tokens in enumerate(token_lists[:doc_len]):
+            row = [vocab.setdefault(tok, len(vocab) + 1) for tok in tokens[:sent_len]]
+            ids[i, : len(row)] = row
         labels.append(label)
         grid_rows.append(ids)
     if not labels:

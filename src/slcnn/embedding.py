@@ -3,19 +3,17 @@
 Embeddings are frozen: they contribute no trainable parameters.  Tokens
 missing from the table get a deterministic random vector drawn uniformly
 from [-0.01, 0.01], keyed by (token, oov_seed) so the draw is independent
-of lookup order, thread interleaving, and process restarts.
+of vocabulary order and process restarts.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-from .corpus import PAD_TOKEN
 
 OOV_RANGE = 0.01
 
@@ -35,41 +33,23 @@ def _fnv1a64(data: bytes) -> int:
 
 @dataclass
 class EmbeddingTable:
-    """Word -> vector table with seeded out-of-vocabulary fallback."""
+    """Pretrained vectors: token t has row vocab[t] of *matrix*.  Tokens not
+    in *vocab* get oov_vector(token, dim, oov_seed)."""
 
     dim: int
     vocab: dict[str, int]
     matrix: np.ndarray  # (len(vocab), dim) float32
     oov_seed: int = 0
-    oov_cache: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        self._zero = np.zeros(self.dim, dtype=np.float32)
-        self._zero.flags.writeable = False
 
-    def lookup(self, token: str) -> np.ndarray:
-        """Vector for *token*: stored row, zeros for pad, or a cached OOV draw."""
-        if token == PAD_TOKEN:
-            return self._zero
-        row = self.vocab.get(token)
-        if row is not None:
-            return self.matrix[row]
-        cached = self.oov_cache.get(token)
-        if cached is not None:
-            return cached
-        vec = self._draw_oov(token)
-        # dict.setdefault is atomic under the GIL, giving insert-once
-        # semantics for concurrent lookups of the same token.
-        return self.oov_cache.setdefault(token, vec)
-
-    def _draw_oov(self, token: str) -> np.ndarray:
-        seed = _fnv1a64(token.encode("utf-8")) ^ (self.oov_seed & 0xFFFFFFFFFFFFFFFF)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        vec = rng.uniform(-OOV_RANGE, OOV_RANGE, self.dim).astype(np.float32)
-        # float32 rounding may land a hair outside the open interval.
-        np.clip(vec, np.float32(-OOV_RANGE), np.float32(OOV_RANGE), out=vec)
-        vec.flags.writeable = False
-        return vec
+def oov_vector(token: str, dim: int, oov_seed: int) -> np.ndarray:
+    """The deterministic vector of a token missing from the table."""
+    seed = _fnv1a64(token.encode("utf-8")) ^ (oov_seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    vec = rng.uniform(-OOV_RANGE, OOV_RANGE, dim).astype(np.float32)
+    # float32 rounding may land a hair outside the open interval.
+    np.clip(vec, np.float32(-OOV_RANGE), np.float32(OOV_RANGE), out=vec)
+    return vec
 
 
 def load_embeddings(path: str | Path, dim: int, *, oov_seed: int = 0) -> EmbeddingTable:
@@ -151,10 +131,14 @@ def _first_bad_line(path: Path, dim: int) -> EmbeddingFormatError:
 def embedding_matrix_for_vocab(table: EmbeddingTable, vocab: Sequence[str]) -> np.ndarray:
     """Rows of *table* for a grid-dataset vocabulary, with id 0 = pad = zeros.
 
-    Row i+1 is table.lookup(vocab[i]), so indexing this matrix with a grid
-    of ids gives the same tensor as looking up every grid token.
+    Row i+1 is the table row of vocab[i], or its oov_vector when the table
+    lacks it, so indexing this matrix with a grid of ids gives the
+    document tensor.
     """
     out = np.zeros((len(vocab) + 1, table.dim), dtype=np.float32)
-    for i, token in enumerate(vocab):
-        out[i + 1] = table.lookup(token)
+    rows = np.array([table.vocab.get(token, -1) for token in vocab], dtype=np.int64)
+    known = np.flatnonzero(rows >= 0)
+    out[known + 1] = table.matrix[rows[known]]
+    for i in np.flatnonzero(rows < 0):
+        out[i + 1] = oov_vector(vocab[i], table.dim, table.oov_seed)
     return out

@@ -24,6 +24,7 @@ are exactly the conv banks and the three dense layers.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 import struct
@@ -134,6 +135,12 @@ class ModelConfig:
             raise ConfigError("seed must be non-negative")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0; got {self.lr}")
         # Raises when the word axis cannot collapse to 1 (46 always works).
         self.hcb_widths = hcb_width_schedule(self.sent_len)
 
@@ -432,7 +439,7 @@ def count_parameters(model: Model) -> int:
 
 @dataclass
 class EmbeddedDataset:
-    """Grid ids plus the embedding rows they index; row 0 is the pad vector."""
+    """Grid ids plus the embedding rows they index; row 0, the pad id's, is zeros."""
 
     grids: np.ndarray  # (N, doc_len, sent_len) int32
     labels: np.ndarray  # (N,) int64
@@ -592,10 +599,9 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def load_checkpoint(path: str | Path, expect: ModelConfig | None = None) -> Model:
+def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; forward outputs are bit-identical
-    to the saved model's.  *expect* (when given) must describe the same
-    architecture or a CheckpointError is raised."""
+    to the saved model's."""
     data = Path(path).read_bytes()
     if len(data) < 10:
         raise CheckpointError(f"truncated checkpoint: {path}")
@@ -621,15 +627,6 @@ def load_checkpoint(path: str | Path, expect: ModelConfig | None = None) -> Mode
         config = ModelConfig.from_dict(json.loads(bytes(take(config_len)).decode()))
     except (json.JSONDecodeError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad config blob in checkpoint: {exc}") from exc
-
-    if expect is not None:
-        for attr in ("variant", "doc_len", "sent_len", "embed_dim", "num_filters",
-                     "fc_size", "num_classes"):
-            have, want = getattr(config, attr), getattr(expect, attr)
-            if have != want:
-                raise CheckpointMismatchError(
-                    f"checkpoint {attr} is {have!r} but caller expects {want!r}"
-                )
 
     model = build_model(config)
     for name, arr in model.param_blocks():

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from slcnn import nn
-from slcnn.corpus import PAD_TOKEN, RawDocument, TokenGrid, preprocess_document
-from slcnn.embedding import EmbeddingFormatError, EmbeddingTable
+from slcnn.corpus import RawDocument, preprocess_document
+from slcnn.embedding import EmbeddingFormatError, EmbeddingTable, oov_vector
 from slcnn.gradcheck import grad_check
 from slcnn.model import Model, ModelConfig, build_model
 
@@ -172,14 +172,21 @@ def load_embeddings_per_line(path: Path, dim: int) -> tuple[dict[str, int], np.n
     return vocab, matrix
 
 
-def tensorize(grid: TokenGrid, table: EmbeddingTable) -> np.ndarray:
-    """The tensorization oracle: out[i, j] = table.lookup(grid token (i, j)),
-    one lookup per cell, pad cells left zero."""
-    out = np.zeros((grid.doc_len, grid.sent_len, table.dim), dtype=np.float32)
-    for i, row in enumerate(grid.sentences):
-        for j, token in enumerate(row):
-            if token != PAD_TOKEN:
-                out[i, j] = table.lookup(token)
+def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
+    """The per-token lookup oracle: the stored row, else the token's OOV draw."""
+    row = table.vocab.get(token)
+    return table.matrix[row] if row is not None else oov_vector(token, table.dim, table.oov_seed)
+
+
+def tensorize(doc: list[list[str]], doc_len: int, sent_len: int,
+              table: EmbeddingTable) -> np.ndarray:
+    """The tensorization oracle: the string crop of *doc* to its first doc_len
+    sentences and their first sent_len words, one lookup per kept cell, every
+    other cell left zero."""
+    out = np.zeros((doc_len, sent_len, table.dim), dtype=np.float32)
+    for i, sentence in enumerate(doc[:doc_len]):
+        for j, token in enumerate(sentence[:sent_len]):
+            out[i, j] = lookup(table, token)
     return out
 
 

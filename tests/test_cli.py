@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -104,6 +105,64 @@ class TestTrain:
         assert "doc_len" in err or "slcnn+v" in err
         assert not (out_dir / "model.slcnn").exists()
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--epochs", "0", "epochs"),
+        ("--batch-size", "0", "batch_size"),
+        ("--lr", "-1", "lr"),
+        ("--lr", "nan", "lr"),
+    ])
+    def test_impossible_setting_exits_2_before_any_write(
+            self, synth_train_csv, synth_embeddings, tmp_path, capsys, flag, value, field):
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8",
+            f"{flag}={value}",
+        ], capsys)
+        assert code == 2
+        assert field in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--limit", "--test-limit"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_limit_below_one_exits_2(self, synth_train_csv, synth_test_csv, synth_embeddings,
+                                     tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--test", str(synth_test_csv), "--out-dir", str(out_dir),
+            "--limit", "8", "--epochs", "1", "--batch-size", "8", f"{flag}={value}",
+        ], capsys)
+        assert code == 2
+        assert flag in err
+        assert not out_dir.exists()
+
+    def test_classes_below_labels_exits_2(self, synth_train_csv, synth_embeddings, tmp_path,
+                                          capsys):
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(out_dir), "--classes", "2", "--epochs", "1",
+        ], capsys)
+        assert code == 2
+        assert str(synth_train_csv) in err and "class index" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--test", "--val"])
+    def test_held_out_labels_beyond_train_classes_exit_2(
+            self, synth_test_csv, synth_embeddings, tmp_path, capsys, flag):
+        two_class = helpers.write_dataset_csv(
+            tmp_path / "two.csv", helpers.make_synthetic_docs(8, num_classes=2, seed=4))
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli([
+            "train", "--input", str(two_class), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(out_dir), "--epochs", "1", "--batch-size", "16",
+            flag, str(synth_test_csv),
+        ], capsys)
+        assert code == 2
+        assert str(synth_test_csv) in err and "class index 4" in err
+        assert not out_dir.exists()
+
     def test_artifacts_written(self, trained):
         assert (trained / "model.slcnn").is_file()
         assert (trained / "model_best.slcnn").is_file()
@@ -199,7 +258,8 @@ class TestEval:
         # second predict_labels() pass, counted one document at a time.
         net = m.load_checkpoint(trained / "model.slcnn")
         table = embedding.load_embeddings(synth_embeddings, net.config.embed_dim)
-        docs = cli._limit_docs(list(corpus.load_dataset(synth_train_csv)), 48, net.config.seed)
+        docs = cli._load_docs(argparse.Namespace(schema=None, strict=False), synth_train_csv,
+                              48, net.config.seed)
         data = m.EmbeddedDataset.build(
             corpus.build_grid_dataset(docs, net.config.doc_len, net.config.sent_len), table
         )
@@ -209,6 +269,33 @@ class TestEval:
         payload = json.loads(out)
         assert payload["accuracy"] == m.evaluate(net, data)
         assert payload["confusion_matrix"] == want.tolist()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_limit_below_one_exits_2(self, trained, synth_train_csv, synth_embeddings, capsys,
+                                     value):
+        code, out, err = run_cli([
+            "eval", "--checkpoint", str(trained / "model.slcnn"),
+            "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            f"--limit={value}",
+        ], capsys)
+        assert code == 2
+        assert "--limit" in err and not out
+
+    def test_labels_beyond_checkpoint_classes_exit_2(self, synth_train_csv, synth_embeddings,
+                                                     tmp_path, capsys):
+        two_class = helpers.write_dataset_csv(
+            tmp_path / "two.csv", helpers.make_synthetic_docs(8, num_classes=2, seed=4))
+        code, _, _ = run_cli([
+            "train", "--input", str(two_class), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "16",
+        ], capsys)
+        assert code == 0
+        code, out, err = run_cli([
+            "eval", "--checkpoint", str(tmp_path / "run" / "model.slcnn"),
+            "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+        ], capsys)
+        assert code == 2
+        assert str(synth_train_csv) in err and "class index" in err and not out
 
     def test_dim_mismatch_exits_2(self, trained, synth_train_csv, synth_embeddings, capsys):
         code, _, err = run_cli([
@@ -313,16 +400,40 @@ class TestThreadFlag:
     VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
     @pytest.mark.parametrize("argv,want", [
-        (["train", "--threads", "2"], "2"),
-        (["train", "--threads=3"], "3"),
-        (["train"], "1"),
+        (["stats", "--input", "x.csv", "--threads", "2"], "2"),
+        (["stats", "--input", "x.csv", "--threads=3"], "3"),
+        (["stats", "--input", "x.csv"], "1"),
     ])
     def test_flag_overrides_inherited_environment(self, monkeypatch, argv, want):
         for var in self.VARS:
             monkeypatch.setenv(var, "8")
-        cli._apply_thread_flag(argv)
+        cli._apply_thread_flag(cli.build_parser().parse_args(argv))
         for var in self.VARS:
             assert os.environ[var] == want
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_rejected(self, synth_train_csv, monkeypatch, capsys, value):
+        for var in self.VARS:
+            monkeypatch.setenv(var, "8")
+        code, out, err = run_cli(["stats", "--input", str(synth_train_csv),
+                                  f"--threads={value}"], capsys)
+        assert code == 2
+        assert "--threads" in err and not out
+
+    def test_rerun_uses_recorded_count(self, monkeypatch, tmp_path, capsys):
+        for var in self.VARS:
+            monkeypatch.setenv(var, "8")
+        manifest = tmp_path / "stats.manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "stats", "input_digests": {},
+            "args": {"command": "stats", "threads": 2},
+        }))
+        seen = []
+        monkeypatch.setitem(cli._SUBCOMMANDS, "stats",
+                            lambda replay: seen.append([os.environ[v] for v in self.VARS]) or 0)
+        code, _, _ = run_cli(["rerun", str(manifest)], capsys)
+        assert code == 0
+        assert seen == [["2", "2", "2"]]
 
 
 class TestExitCodeContract:

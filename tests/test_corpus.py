@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 import helpers
 from slcnn import corpus
 from slcnn.corpus import (
-    PAD_TOKEN,
     DatasetFormatError,
     EmptyCorpusError,
     RawDocument,
     build_grid_dataset,
+    build_grid_dataset_from_token_docs,
     clean_text,
     compute_doc_threshold,
     corpus_stats,
-    crop_pad,
     load_dataset,
     preprocess_document,
     split_sentences,
@@ -240,29 +239,32 @@ class TestDocThreshold:
 
 
 # --------------------------------------------------------------------------
-# crop_pad
+# Cropping and padding into id grids
 # --------------------------------------------------------------------------
+
+def _ids(doc: list[list[str]], doc_len: int, sent_len: int) -> np.ndarray:
+    """The (doc_len, sent_len) id grid of one preprocessed document."""
+    return build_grid_dataset_from_token_docs([(0, doc)], doc_len, sent_len).grids[0]
+
 
 class TestCropPad:
     def test_pad_rows(self):
-        grid = crop_pad([["a", "b"], ["c"]], 4, 3)
-        assert grid.real_sentence_count == 2
-        assert grid.sentences[0] == ["a", "b", PAD_TOKEN]
-        assert grid.sentences[2] == [PAD_TOKEN] * 3
-        assert grid.sentences[3] == [PAD_TOKEN] * 3
-        assert grid.real_word_counts == [2, 1, 0, 0]
+        assert _ids([["a", "b"], ["c"]], 4, 3).tolist() == [
+            [1, 2, 0], [3, 0, 0], [0, 0, 0], [0, 0, 0],
+        ]
 
     def test_crop_long_sentence(self):
-        grid = crop_pad([[f"w{i}" for i in range(50)]], 1, 46)
-        assert grid.real_word_counts == [46]
-        assert grid.sentences[0][:2] == ["w0", "w1"]
-        assert PAD_TOKEN not in grid.sentences[0]
+        ds = build_grid_dataset_from_token_docs([(0, [[f"w{i}" for i in range(50)]])], 1, 46)
+        assert ds.grids[0, 0].tolist() == list(range(1, 47))
+        assert ds.vocab == [f"w{i}" for i in range(46)]
 
     def test_crop_document(self):
-        doc = [["x"]] * 25
-        grid = crop_pad(doc, 20, 5)
-        assert grid.doc_len == 20
-        assert grid.real_sentence_count == 20
+        doc = [[f"s{i}"] for i in range(25)]
+        ds = build_grid_dataset_from_token_docs([(0, doc)], 20, 5)
+        assert ds.grids.shape == (1, 20, 5)
+        assert ds.grids[0, :, 0].tolist() == list(range(1, 21))
+        assert not ds.grids[0, :, 1:].any()
+        assert ds.vocab == [f"s{i}" for i in range(20)]
 
     def test_pad_positions_are_suffixes(self):
         rng = np.random.default_rng(0)
@@ -271,17 +273,12 @@ class TestCropPad:
                 [f"t{j}" for j in range(rng.integers(1, 8))]
                 for _ in range(rng.integers(0, 6))
             ]
-            grid = crop_pad(doc, 4, 5)
-            for row in grid.sentences:
-                seen_pad = False
-                for token in row:
-                    if token == PAD_TOKEN:
-                        seen_pad = True
-                    else:
-                        assert not seen_pad, "interior padding inside a row"
-            all_pad = [all(t == PAD_TOKEN for t in row) for row in grid.sentences]
-            first_pad_row = all_pad.index(True) if True in all_pad else len(all_pad)
-            assert all(all_pad[first_pad_row:]), "interior all-pad row"
+            real = _ids(doc, 4, 5) != 0
+            for row in real:
+                assert row.tolist() == sorted(row.tolist(), reverse=True), \
+                    "interior padding inside a row"
+            rows = real.any(axis=1).tolist()
+            assert rows == sorted(rows, reverse=True), "interior all-pad row"
 
     def test_coverage_identity(self):
         rng = np.random.default_rng(1)
@@ -291,13 +288,23 @@ class TestCropPad:
                 for _ in range(rng.integers(1, 30))
             ]
             doc_len, sent_len = 4, 46
-            grid = crop_pad(doc, doc_len, sent_len)
             expected = sum(min(len(s), sent_len) for s in doc[:doc_len])
-            assert sum(grid.real_word_counts) == expected
+            assert np.count_nonzero(_ids(doc, doc_len, sent_len)) == expected
+
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=8), max_size=7),
+           st.integers(1, 5), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_ids_decode_to_string_crop(self, doc, doc_len, sent_len):
+        ds = build_grid_dataset_from_token_docs([(0, doc)], doc_len, sent_len)
+        crop = [sentence[:sent_len] for sentence in doc[:doc_len]]
+        decoded = [[ds.vocab[k - 1] for k in row if k] for row in ds.grids[0]]
+        assert decoded == crop + [[]] * (doc_len - len(crop))
+        assert ds.vocab == list(dict.fromkeys(tok for sentence in crop for tok in sentence))
 
     def test_bad_dims(self):
-        with pytest.raises(ValueError):
-            crop_pad([["a"]], 0, 3)
+        for doc_len, sent_len in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError):
+                build_grid_dataset_from_token_docs([(0, [["a"]])], doc_len, sent_len)
 
 
 # --------------------------------------------------------------------------

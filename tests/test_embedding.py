@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import re
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +11,9 @@ from hypothesis import strategies as st
 
 import helpers
 from slcnn.corpus import (
-    PAD_TOKEN,
     RawDocument,
     build_grid_dataset,
     build_grid_dataset_from_token_docs,
-    crop_pad,
     preprocess_document,
 )
 from slcnn.embedding import (
@@ -24,6 +21,7 @@ from slcnn.embedding import (
     EmbeddingTable,
     embedding_matrix_for_vocab,
     load_embeddings,
+    oov_vector,
 )
 from slcnn.model import EmbeddedDataset
 
@@ -38,8 +36,8 @@ def toy_table(tmp_path) -> EmbeddingTable:
 class TestLoadEmbeddings:
     def test_toy_parse(self, toy_table):
         assert len(toy_table.vocab) == 2
-        assert toy_table.lookup("a").tolist() == [1.0, 2.0]
-        assert toy_table.lookup("b").tolist() == [3.0, 4.0]
+        assert toy_table.matrix[toy_table.vocab["a"]].tolist() == [1.0, 2.0]
+        assert toy_table.matrix[toy_table.vocab["b"]].tolist() == [3.0, 4.0]
 
     def test_arity_error_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -58,7 +56,7 @@ class TestLoadEmbeddings:
         path.write_text("a 1.0 2.0\na 9.0 9.0\n", encoding="utf-8")
         table = load_embeddings(path, 2)
         assert len(table.vocab) == 1
-        assert table.lookup("a").tolist() == [1.0, 2.0]
+        assert table.matrix[table.vocab["a"]].tolist() == [1.0, 2.0]
 
     def test_underscores_and_non_ascii_digits_rejected(self, tmp_path):
         # Stricter than Python float(), which accepts both spellings.
@@ -77,47 +75,47 @@ class TestLoadEmbeddings:
 
 
 class TestLookup:
+    """Rows of embedding_matrix_for_vocab, and the OOV draw behind them."""
+
     def test_pad_is_zero(self, toy_table):
-        assert np.array_equal(toy_table.lookup(PAD_TOKEN), np.zeros(2, dtype=np.float32))
+        matrix = embedding_matrix_for_vocab(toy_table, ["a", "qzxv"])
+        assert np.array_equal(matrix[0], np.zeros(2, dtype=np.float32))
 
     def test_in_vocab_bit_identical(self, toy_table):
-        row = toy_table.matrix[toy_table.vocab["b"]]
-        assert np.array_equal(toy_table.lookup("b"), row)
+        matrix = embedding_matrix_for_vocab(toy_table, ["qzxv", "b", "a"])
+        assert np.array_equal(matrix[2], toy_table.matrix[toy_table.vocab["b"]])
+        assert np.array_equal(matrix[3], toy_table.matrix[toy_table.vocab["a"]])
 
     def test_oov_deterministic_and_in_range(self, toy_table):
-        first = toy_table.lookup("qzxv")
-        second = toy_table.lookup("qzxv")
-        assert np.array_equal(first, second)
+        first = embedding_matrix_for_vocab(toy_table, ["qzxv"])[1]
+        assert np.array_equal(first, oov_vector("qzxv", 2, 42))
+        assert np.array_equal(first, embedding_matrix_for_vocab(toy_table, ["a", "qzxv"])[2])
         assert np.all(np.abs(first) <= 0.01)
 
     def test_oov_property_sweep(self):
-        table = EmbeddingTable(dim=100, vocab={}, matrix=np.zeros((0, 100), np.float32),
-                               oov_seed=7)
         rng = np.random.default_rng(0)
         for _ in range(1000):
             token = "".join(chr(rng.integers(97, 123)) for _ in range(rng.integers(1, 12)))
-            vec = table.lookup(token)
-            assert vec.shape == (100,)
+            vec = oov_vector(token, 100, 7)
+            assert vec.shape == (100,) and vec.dtype == np.float32
             assert np.all(vec >= -0.01) and np.all(vec <= 0.01)
-            assert np.array_equal(vec, table.lookup(token))
+            assert np.array_equal(vec, oov_vector(token, 100, 7))
 
-    def test_oov_depends_on_seed_not_order(self):
-        a = EmbeddingTable(dim=8, vocab={}, matrix=np.zeros((0, 8), np.float32), oov_seed=1)
-        b = EmbeddingTable(dim=8, vocab={}, matrix=np.zeros((0, 8), np.float32), oov_seed=1)
-        c = EmbeddingTable(dim=8, vocab={}, matrix=np.zeros((0, 8), np.float32), oov_seed=2)
-        a.lookup("first")
-        assert np.array_equal(a.lookup("word"), b.lookup("word"))
-        assert not np.array_equal(a.lookup("word"), c.lookup("word"))
+    def test_oov_depends_on_seed_not_order(self, toy_table):
+        vocab = ["word", "a", "other", "b", "third"]
+        matrix = embedding_matrix_for_vocab(toy_table, vocab)
+        order = [3, 0, 4, 2, 1]
+        shuffled = embedding_matrix_for_vocab(toy_table, [vocab[k] for k in order])
+        assert np.array_equal(shuffled[1:], matrix[1:][order])
+        assert not np.array_equal(oov_vector("word", 8, 1), oov_vector("word", 8, 2))
 
-    def test_concurrent_lookups_insert_once(self):
-        table = EmbeddingTable(dim=32, vocab={}, matrix=np.zeros((0, 32), np.float32),
-                               oov_seed=3)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: table.lookup("shared"), range(64)))
-        reference = results[0]
-        for vec in results[1:]:
-            assert vec is reference or np.array_equal(vec, reference)
-        assert len(table.oov_cache) == 1
+    def test_oov_vector_is_pinned(self):
+        # Bits of the FNV-1a/PCG64 draw; checkpoints trained on OOV rows
+        # depend on them.
+        want = {("qzxv", 4, 7): [3148618146, 1002731528, 3148642123, 3138707925],
+                ("\u00e9tat", 3, -1): [1003361042, 995488513, 3150506124]}
+        for (token, dim, seed), bits in want.items():
+            assert oov_vector(token, dim, seed).view(np.uint32).tolist() == bits
 
 
 def _tensors(token_docs, doc_len: int, sent_len: int, table: EmbeddingTable) -> EmbeddedDataset:
@@ -141,12 +139,10 @@ class TestTensorize:
     def test_l1_sum_matches_per_token_recomputation(self, toy_table):
         doc = RawDocument(0, ["A b qzxv. B unknown a!"])
         tensor = EmbeddedDataset.build(build_grid_dataset([doc], 4, 5), toy_table).tensors(0)
-        grid = crop_pad(preprocess_document(doc), 4, 5)
         expected = sum(
-            float(np.abs(toy_table.lookup(tok)).sum())
-            for row in grid.sentences
-            for tok in row
-            if tok != PAD_TOKEN
+            float(np.abs(helpers.lookup(toy_table, tok)).sum())
+            for sentence in preprocess_document(doc)[:4]
+            for tok in sentence[:5]
         )
         assert float(np.abs(tensor).sum()) == pytest.approx(expected, rel=1e-6)
 
@@ -166,7 +162,7 @@ class TestEmbeddingMatrix:
         assert matrix.shape == (4, 2)
         assert not matrix[0].any()
         for i, token in enumerate(vocab):
-            assert np.array_equal(matrix[i + 1], toy_table.lookup(token))
+            assert np.array_equal(matrix[i + 1], helpers.lookup(toy_table, token))
 
 
 # --------------------------------------------------------------------------
