@@ -36,7 +36,6 @@ from . import __version__
 log = logging.getLogger("slcnn")
 
 MANIFEST_SCHEMA_VERSION = 1
-DATA_DIR_ENV = "SLCNN_DATA_DIR"
 
 
 def _apply_thread_flag(args: argparse.Namespace) -> None:
@@ -57,17 +56,21 @@ def _positive_int(value: str) -> int:
     return int(value)
 
 
+def _fraction(value: str) -> float:
+    try:
+        if 0.0 <= float(value) < 1.0:
+            return float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {value!r}")
+
+
 def _resolve_input(path_str: str) -> Path:
-    """Resolve a dataset/embedding path, falling back to $SLCNN_DATA_DIR."""
+    """*path_str* as given, relative to the working directory; it must name a file."""
     path = Path(path_str)
-    if path.is_file():
-        return path
-    data_dir = os.environ.get(DATA_DIR_ENV)
-    if data_dir and not path.is_absolute():
-        candidate = Path(data_dir) / path
-        if candidate.is_file():
-            return candidate
-    raise FileNotFoundError(f"input file not found: {path_str}")
+    if not path.is_file():
+        raise FileNotFoundError(f"input file not found: {path_str}")
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -166,14 +169,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     docs = _load_docs(args, train_path, args.limit, args.seed)
     val_docs = _load_docs(args, val_path) if val_path else None
     test_docs = _load_docs(args, test_path, args.test_limit, args.seed) if test_path else None
-    num_classes = args.classes or (max(doc.label for doc in docs) + 1)
+    num_classes = args.classes if args.classes is not None else max(d.label for d in docs) + 1
     for path, dataset in ((train_path, docs), (val_path, val_docs), (test_path, test_docs)):
         if dataset is not None:
             _check_labels(dataset, num_classes, path)
     token_docs = [(doc.label, corpus.preprocess_document(doc)) for doc in docs]
-    doc_len = args.td or corpus.compute_doc_threshold(
-        [len(tokens) for _, tokens in token_docs]
-    )
+    doc_len = args.td
+    if doc_len is None:
+        doc_len = corpus.compute_doc_threshold([len(tokens) for _, tokens in token_docs])
 
     config = m.ModelConfig(
         variant=args.variant,
@@ -391,10 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", help="optional explicit validation dataset")
     p.add_argument("--variant", choices=["slcnn", "slcnn+v"], default="slcnn")
     p.add_argument("--fc", choices=["small", "large"], default="small")
-    p.add_argument("--td", type=int, help="sentences-per-document threshold (default: derived)")
+    p.add_argument("--td", type=_positive_int,
+                   help="sentences-per-document threshold (default: derived)")
     p.add_argument("--ts", type=int, default=46)
     p.add_argument("--dim", type=int, default=100, help="embedding dimension")
-    p.add_argument("--classes", type=int, help="number of classes (default: inferred)")
+    p.add_argument("--classes", type=_positive_int, help="number of classes (default: inferred)")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch-size", type=int, default=64)
@@ -405,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train on a seeded subset of N documents")
     p.add_argument("--test-limit", type=_positive_int,
                    help="evaluate on a seeded subset of N test documents")
-    p.add_argument("--val-frac", type=float, default=0.05,
+    p.add_argument("--val-frac", type=_fraction, default=0.05,
                    help="validation fraction when --val is absent (0 disables)")
     p.add_argument("--out-dir", required=True)
     common_io(p)

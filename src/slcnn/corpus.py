@@ -332,9 +332,6 @@ class GridDataset:
     labels: np.ndarray  # (N,) int64
     grids: np.ndarray  # (N, doc_len, sent_len) int32
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def build_grid_dataset(
     docs: Iterable[RawDocument], doc_len: int, sent_len: int

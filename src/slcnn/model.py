@@ -239,20 +239,6 @@ class Model:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {value.shape}")
             arr[...] = value
 
-    def with_dtype(self, dtype) -> "Model":
-        """A copy of this model with every parameter cast to *dtype*
-        (float64 shadow copies for gradient checking)."""
-        cast = lambda a: a.astype(dtype)
-        clone = Model(
-            self.config,
-            [nn.ConvFilterBank(cast(b.weights), cast(b.biases)) for b in self.conv_banks],
-            [nn.ConvFilterBank(cast(b.weights), cast(b.biases)) for b in self.vcb_banks],
-            nn.DenseLayer(cast(self.fc1.weights), cast(self.fc1.biases)),
-            nn.DenseLayer(cast(self.fc2.weights), cast(self.fc2.biases)),
-            nn.DenseLayer(cast(self.out.weights), cast(self.out.biases)),
-        )
-        return clone
-
     # -- forward / backward -------------------------------------------------
 
     def _check_input(self, x: np.ndarray) -> None:
@@ -263,11 +249,6 @@ class Model:
                 f"expected input (batch, {expected[0]}, {expected[1]}, {expected[2]}), "
                 f"got {x.shape}"
             )
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """Pre-flatten feature map (eval mode): one feature vector per row."""
-        y, _ = self._conv_trunk(x)
-        return y
 
     def _conv_trunk(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         self._check_input(x)
@@ -504,14 +485,14 @@ def train(
             y = train_data.labels[idx]
             logits, caches = model._forward_with_caches(x, "train", drop_rng)
             try:
-                _, grad_logits = nn.softmax_cross_entropy(logits, y)
+                losses, grad_logits = nn.softmax_cross_entropy(logits, y)
                 grads = model._backward(caches, grad_logits)
                 nn.adam_step(params, grads, model.adam_state, names)
             except (ValueError, nn.OptimizerError) as exc:
                 raise TrainingDivergedError(epoch, batch_no, str(exc)) from exc
             # Losses land at their dataset positions and are reduced in that
             # fixed order, so the epoch loss does not depend on the shuffle.
-            sample_losses[idx] = nn.cross_entropy_per_sample(logits, y)
+            sample_losses[idx] = losses
             correct += int((logits.argmax(axis=1) == y).sum())
         report.train_loss.append(float(sample_losses.sum()) / n)
         report.train_accuracy.append(correct / n)

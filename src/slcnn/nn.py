@@ -310,51 +310,35 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray | int
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of softmax(logits) against integer labels.
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample cross-entropy of softmax(logits) against integer labels.
 
-    Returns the scalar loss and its gradient w.r.t. the logits; for a
-    single logit vector that gradient is softmax(logits) - onehot(label).
+    Takes (batch, classes) logits and (batch,) labels.  Returns the losses,
+    in float64, and the gradient of their mean w.r.t. the logits,
+    (softmax(logits) - onehot(labels)) / batch, in the logits' dtype.  Each
+    loss depends only on its own row, so metrics summed from these in
+    dataset order are independent of batch composition (the per-epoch loss
+    is reproducible bit-for-bit however the data was shuffled).
     """
-    lg = np.asarray(logits)
-    if lg.dtype not in (np.float32, np.float64):
-        lg = lg.astype(np.float64)
-    lg, batched = _batched(lg, 1)
-    if not np.isfinite(lg).all():
+    if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite values")
-    batch, num_classes = lg.shape
+    batch, num_classes = logits.shape
     if num_classes < 2:
         raise ShapeError("need at least 2 classes")
-    lab = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    lab = np.asarray(labels, dtype=np.int64)
     if lab.shape != (batch,):
         raise ShapeError(f"labels shape {lab.shape} does not match batch {batch}")
     if (lab < 0).any() or (lab >= num_classes).any():
         raise ValueError("label out of range")
 
+    rows = np.arange(batch)
+    lg = logits.astype(np.float64)
     z = lg - lg.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=-1))
-    losses = log_norm - z[np.arange(batch), lab]
-    grad = softmax(lg)
-    grad[np.arange(batch), lab] -= 1
+    losses = np.log(np.exp(z).sum(axis=-1)) - z[rows, lab]
+    grad = softmax(logits)
+    grad[rows, lab] -= 1
     grad /= batch
-    loss = float(losses.mean(dtype=np.float64))
-    return loss, (grad if batched else grad[0])
-
-
-def cross_entropy_per_sample(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample cross-entropy losses in float64.
-
-    Each row's value depends only on that row, so metrics summed from these
-    in dataset order are independent of batch composition (the per-epoch
-    loss is reproducible bit-for-bit however the data was shuffled).
-    """
-    lg = np.asarray(logits, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
-    z = lg - lg.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=-1))
-    return log_norm - z[np.arange(lg.shape[0]), lab]
+    return losses, grad
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import numpy as np
 from slcnn import nn
 from slcnn.corpus import RawDocument, preprocess_document
 from slcnn.embedding import EmbeddingFormatError, EmbeddingTable, oov_vector
-from slcnn.gradcheck import grad_check
 from slcnn.model import Model, ModelConfig, build_model
+
+from gradcheck import grad_check
 
 # --------------------------------------------------------------------------
 # Golden sentence corpus: the true segmentation is known by construction.
@@ -397,22 +398,53 @@ def fd_sweep_pool(trials: int = 100) -> dict[str, float]:
 
 
 def fd_sweep_softmax(trials: int = 100) -> float:
+    """Worst FD error of the logit gradient of the batch-mean loss."""
     rng = np.random.default_rng(10)
     worst = 0.0
     for _ in range(trials):
-        c = int(rng.integers(2, 7))
-        logits = rng.normal(size=c) * 2.0
-        label = int(rng.integers(0, c))
-        _, grad = nn.softmax_cross_entropy(logits, label)
+        batch, c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        logits = rng.normal(size=(batch, c)) * 2.0
+        labels = rng.integers(0, c, size=batch)
+        _, grad = nn.softmax_cross_entropy(logits, labels)
         params = {"logits": logits.copy()}
 
         def loss():
-            value, _ = nn.softmax_cross_entropy(params["logits"], label)
-            return value
+            losses, _ = nn.softmax_cross_entropy(params["logits"], labels)
+            return float(losses.mean())
 
         res = grad_check(loss, params, {"logits": grad}, epsilon=1e-6)
         worst = max(worst, res.max_rel_error)
     return worst
+
+
+def cross_entropy_oracle(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row float64 log-sum-exp minus the label's logit, one row at a
+    time with an exactly rounded sum; the cross-entropy oracle."""
+    out = np.empty(len(logits), dtype=np.float64)
+    for i, (row, label) in enumerate(zip(logits, labels)):
+        values = [float(v) for v in row]
+        top = max(values)
+        out[i] = top + math.log(math.fsum(math.exp(v - top) for v in values)) - values[label]
+    return out
+
+
+def with_dtype(net: Model, dtype) -> Model:
+    """A copy of *net* with every parameter cast to *dtype* (float64 shadow
+    copies for gradient checking)."""
+    cast = lambda a: a.astype(dtype)
+    return Model(
+        net.config,
+        [nn.ConvFilterBank(cast(b.weights), cast(b.biases)) for b in net.conv_banks],
+        [nn.ConvFilterBank(cast(b.weights), cast(b.biases)) for b in net.vcb_banks],
+        nn.DenseLayer(cast(net.fc1.weights), cast(net.fc1.biases)),
+        nn.DenseLayer(cast(net.fc2.weights), cast(net.fc2.biases)),
+        nn.DenseLayer(cast(net.out.weights), cast(net.out.biases)),
+    )
+
+
+def features(net: Model, x: np.ndarray) -> np.ndarray:
+    """Pre-flatten feature map (eval mode): one feature vector per row."""
+    return net._conv_trunk(x)[0]
 
 
 def network_margins(net: Model, x: np.ndarray) -> float:
@@ -461,7 +493,7 @@ def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn") 
     # ~epsilon * |activation| ~ 1e-4, so a 3e-4 margin keeps every ReLU and
     # pooling decision on its side of the kink during differencing.
     for seed in range(200):
-        net64 = build_model(cfg, rng=np.random.default_rng([cfg.seed, seed])).with_dtype(F64)
+        net64 = with_dtype(build_model(cfg, rng=np.random.default_rng([cfg.seed, seed])), F64)
         rng = np.random.default_rng(500 + seed)
         x = rng.normal(size=(batch, doc_len, 46, 100))
         labels = rng.integers(0, 3, size=batch)
@@ -478,8 +510,8 @@ def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn") 
     analytic = {name: g for (name, _), g in zip(blocks, grads)}
 
     def loss():
-        value, _ = nn.softmax_cross_entropy(net64.forward(x, "eval"), labels)
-        return value
+        losses, _ = nn.softmax_cross_entropy(net64.forward(x, "eval"), labels)
+        return float(losses.mean())
 
     # The FD oracle's own noise is ~eps64 * |loss| / epsilon ~ 2e-11, so
     # flooring the denominator at 1e-4 stops near-zero-gradient coordinates

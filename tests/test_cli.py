@@ -64,6 +64,16 @@ class TestStats:
         assert "error" in err.lower()
         assert out == ""
 
+    def test_relative_path_ignores_data_dir_variable(self, synth_train_csv, tmp_path,
+                                                     monkeypatch, capsys):
+        # A relative input means the file under the working directory, and
+        # nothing else, whatever SLCNN_DATA_DIR says.
+        monkeypatch.setenv("SLCNN_DATA_DIR", str(synth_train_csv.parent))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["stats", "--input", synth_train_csv.name], capsys)
+        assert code == 2
+        assert "input file not found" in err and out == ""
+
     def test_out_file_and_manifest(self, synth_train_csv, tmp_path, capsys):
         out_file = tmp_path / "stats.json"
         code, _, _ = run_cli(
@@ -147,6 +157,45 @@ class TestTrain:
         assert code == 2
         assert str(synth_train_csv) in err and "class index" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--td", "--classes"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_derived_setting_below_one_exits_2(self, synth_train_csv, synth_embeddings,
+                                               tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8",
+            f"{flag}={value}",
+        ], capsys)
+        assert code == 2
+        assert flag in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["-0.5", "1.0", "1.5", "nan", "x"])
+    def test_val_frac_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
+        # The inputs do not exist: the flag is rejected before any is read.
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli([
+            "train", "--input", str(tmp_path / "absent.csv"),
+            "--embeddings", str(tmp_path / "absent.txt"),
+            "--out-dir", str(out_dir), f"--val-frac={value}",
+        ], capsys)
+        assert code == 2
+        assert "--val-frac" in err and "not found" not in err
+        assert not out_dir.exists()
+
+    def test_val_frac_zero_disables_split(self, synth_train_csv, synth_embeddings, tmp_path,
+                                          capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8",
+            "--val-frac", "0",
+        ], capsys)
+        assert code == 0
+        assert json.loads((out_dir / "report.json").read_text())["val_accuracy"] == []
+        assert not (out_dir / "model_best.slcnn").exists()
 
     @pytest.mark.parametrize("flag", ["--test", "--val"])
     def test_held_out_labels_beyond_train_classes_exit_2(

@@ -5,7 +5,6 @@ import pytest
 
 import helpers
 from slcnn import nn
-from slcnn.gradcheck import grad_check
 from slcnn.model import (
     CheckpointError,
     ConfigError,
@@ -76,23 +75,23 @@ class TestShapeCollapse:
         assert (doc_len - 2) // 2 == expected  # the recurrence itself
         net = _tiny_model("slcnn+v", doc_len)
         x = np.random.default_rng(0).normal(size=(2, doc_len, 46, 6)).astype(F32)
-        assert net.features(x).shape == (2, expected, 1, 5)
+        assert helpers.features(net, x).shape == (2, expected, 1, 5)
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 20])
     def test_hcb_preserves_rows(self, rows):
         net = _tiny_model("slcnn", rows)
         x = np.random.default_rng(rows).normal(size=(2, rows, 46, 6)).astype(F32)
-        assert net.features(x).shape == (2, rows, 1, 5)
+        assert helpers.features(net, x).shape == (2, rows, 1, 5)
 
     def test_hcb_rejects_narrow_input(self):
         net = _tiny_model("slcnn", 4)
         with pytest.raises(nn.ShapeError):
-            net.features(np.zeros((2, 4, 3, 6), F32))
+            helpers.features(net, np.zeros((2, 4, 3, 6), F32))
 
     def test_vcb_rejects_few_rows(self):
         net = _tiny_model("slcnn+v", 4)
         with pytest.raises(nn.ShapeError):
-            net.features(np.zeros((2, 3, 46, 6), F32))
+            helpers.features(net, np.zeros((2, 3, 46, 6), F32))
 
 
 def _tiny_model(variant: str, doc_len: int) -> Model:
@@ -201,7 +200,7 @@ class TestForward:
     def test_feature_and_logit_shapes(self):
         net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=4))
         x = np.random.default_rng(0).normal(size=(3, 4, 46, 100)).astype(F32)
-        assert net.features(x).shape == (3, 4, 1, 128)
+        assert helpers.features(net, x).shape == (3, 4, 1, 128)
         assert net.forward(x).shape == (3, 4)
 
     def test_all_zero_document_finite_and_deterministic(self):
@@ -237,8 +236,8 @@ class TestPermutationSensitivity:
         net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=4, seed=3))
         x = np.random.default_rng(3).normal(size=(1, 4, 46, 100)).astype(F32)
         perm = np.array([2, 0, 3, 1])
-        feats = net.features(x)
-        feats_perm = net.features(x[:, perm])
+        feats = helpers.features(net, x)
+        feats_perm = helpers.features(net, x[:, perm])
         assert np.array_equal(feats_perm, feats[:, perm])
 
     def test_flatten_head_distinguishes_positions(self):
@@ -458,9 +457,9 @@ class TestRowBlocks:
     def test_features_match_per_document(self, three_row_blocks):
         net = build_model(ModelConfig(variant="slcnn+v", doc_len=6, num_classes=3, seed=2))
         x = np.random.default_rng(28).normal(0, 0.4, size=(5, 6, 46, 100)).astype(F32)
-        batched = net.features(x)
+        batched = helpers.features(net, x)
         for i in range(len(x)):
-            np.testing.assert_allclose(batched[i : i + 1], net.features(x[i : i + 1]),
+            np.testing.assert_allclose(batched[i : i + 1], helpers.features(net, x[i : i + 1]),
                                        rtol=0, atol=1e-6)
 
 

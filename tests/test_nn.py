@@ -5,8 +5,8 @@ import pytest
 
 import helpers
 from helpers import naive_conv2d, naive_maxpool
+from gradcheck import grad_check
 from slcnn import nn
-from slcnn.gradcheck import grad_check
 
 F32 = np.float32
 F64 = np.float64
@@ -248,13 +248,13 @@ class TestDense:
 
 class TestSoftmaxCrossEntropy:
     def test_symmetric_two_class(self):
-        loss, grad = nn.softmax_cross_entropy(np.array([0.0, 0.0]), 0)
-        assert loss == pytest.approx(np.log(2), rel=1e-12)
-        np.testing.assert_allclose(grad, [-0.5, 0.5], atol=1e-12)
+        losses, grad = nn.softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
+        assert losses.mean() == pytest.approx(np.log(2), rel=1e-12)
+        np.testing.assert_allclose(grad, [[-0.5, 0.5]], atol=1e-12)
 
     def test_stabilized_no_overflow(self):
-        loss, grad = nn.softmax_cross_entropy(np.array([100.0, 0.0]), 0)
-        assert loss == pytest.approx(0.0, abs=1e-12)
+        losses, grad = nn.softmax_cross_entropy(np.array([[100.0, 0.0]]), np.array([0]))
+        assert losses.mean() == pytest.approx(0.0, abs=1e-12)
         assert np.isfinite(grad).all()
 
     def test_probability_vector_property(self):
@@ -270,20 +270,51 @@ class TestSoftmaxCrossEntropy:
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(ValueError):
-            nn.softmax_cross_entropy(np.array([np.nan, 0.0]), 0)
+            nn.softmax_cross_entropy(np.array([[np.nan, 0.0]]), np.array([0]))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            nn.softmax_cross_entropy(np.array([0.0, 1.0]), 2)
+            nn.softmax_cross_entropy(np.array([[0.0, 1.0]]), np.array([2]))
 
     def test_batch_mean_semantics(self):
         logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
         labels = np.array([1, 2])
-        loss, grad = nn.softmax_cross_entropy(logits, labels)
-        l0, g0 = nn.softmax_cross_entropy(logits[0], 1)
-        l1, g1 = nn.softmax_cross_entropy(logits[1], 2)
-        assert loss == pytest.approx((l0 + l1) / 2)
-        np.testing.assert_allclose(grad, np.stack([g0, g1]) / 2, rtol=1e-12)
+        losses, grad = nn.softmax_cross_entropy(logits, labels)
+        l0, g0 = nn.softmax_cross_entropy(logits[:1], labels[:1])
+        l1, g1 = nn.softmax_cross_entropy(logits[1:], labels[1:])
+        assert losses.mean() == pytest.approx((l0.mean() + l1.mean()) / 2)
+        np.testing.assert_allclose(grad, np.concatenate([g0, g1]) / 2, rtol=1e-12)
+
+    def test_per_sample_losses_independent_of_batch(self):
+        # Rows of very different scale share a float32 batch; each row's
+        # float64 loss must not depend on its neighbours.
+        rng = np.random.default_rng(31)
+        scale = np.array([1e-3, 1.0, 30.0, 1.0, 80.0, 5.0])[:, None]
+        logits = (rng.normal(size=(6, 5)) * scale).astype(F32)
+        labels = rng.integers(0, 5, size=6)
+        losses, grad = nn.softmax_cross_entropy(logits, labels)
+        assert losses.dtype == F64 and grad.dtype == F32
+        for i in range(len(logits)):
+            alone, _ = nn.softmax_cross_entropy(logits[i : i + 1], labels[i : i + 1])
+            assert alone[0] == losses[i]
+
+    def test_per_sample_losses_match_float64_oracle(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            batch, c = int(rng.integers(1, 9)), int(rng.integers(2, 9))
+            logits = (rng.normal(size=(batch, c)) * rng.uniform(0.1, 40)).astype(F32)
+            labels = rng.integers(0, c, size=batch)
+            losses, _ = nn.softmax_cross_entropy(logits, labels)
+            np.testing.assert_allclose(losses, helpers.cross_entropy_oracle(logits, labels),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("logits,labels", [
+        (np.zeros((2, 1)), np.array([0, 0])),
+        (np.zeros((2, 3)), np.array([0])),
+    ], ids=["one_class", "label_count"])
+    def test_shape_contract(self, logits, labels):
+        with pytest.raises(nn.ShapeError):
+            nn.softmax_cross_entropy(logits, labels)
 
 
 # --------------------------------------------------------------------------
