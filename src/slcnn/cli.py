@@ -9,15 +9,18 @@ still has that digest.  Artifacts (checkpoints, report, manifest, ``--out``
 files) are written to a temp file and renamed into place, so a failed write
 never leaves a truncated file.
 
-``eval`` makes one forward pass over the documents; accuracy and the
-confusion matrix both come from its predictions.  ``predict`` turns its text
-into a tensor through the same grid-dataset path as ``eval``.
+``eval`` and ``predict`` take every model setting (grid shape, embedding
+width, classes) from the checkpoint, and no flag of theirs can contradict
+it; the embedding file must have the checkpoint's width.  ``eval`` makes one
+forward pass over the documents; accuracy and the confusion matrix both
+come from its predictions.  ``predict`` turns its text into a tensor through
+the same grid-dataset path as ``eval``.
 
 numpy (and its BLAS) is imported only after the ``--threads`` flag is
 applied to the thread-count environment variables, because the default of
 one BLAS thread is part of the determinism contract.  The flag (or its
 default) overrides any inherited value; ``rerun`` uses the count recorded
-in its manifest.
+in its manifest, which must be a positive integer.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ def _apply_thread_flag(args: argparse.Namespace) -> None:
             threads = manifest["args"]["threads"]
         except (OSError, ValueError, KeyError, TypeError):
             pass
+        # The --threads rule (a JSON integer >= 1, not a bool) and its exit code.
+        if type(threads) is not int or threads < 1:
+            print(f"error: {args.manifest}: recorded thread count {threads!r} is not a "
+                  "positive integer", file=sys.stderr)
+            raise SystemExit(2)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(threads)
 
@@ -193,7 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     log.info("loading embeddings from %s", emb_path)
-    table = embedding.load_embeddings(emb_path, args.dim, oov_seed=args.oov_seed)
+    table = embedding.load_embeddings(emb_path, args.dim)
     log.info("%d embedding rows, dim %d", len(table.vocab), table.dim)
 
     grid_ds = corpus.build_grid_dataset_from_token_docs(token_docs, doc_len, args.ts)
@@ -257,11 +265,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_text(report_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     outputs.append(str(report_path))
 
-    digests = {str(train_path): _sha256(train_path), str(emb_path): _sha256(emb_path)}
-    if test_path is not None:
-        digests[str(test_path)] = _sha256(test_path)
-    if val_path is not None:
-        digests[str(val_path)] = _sha256(val_path)
+    digests = {str(p): _sha256(p) for p in (train_path, emb_path, test_path, val_path) if p}
     _write_manifest("train", args, digests, outputs, out_dir / "manifest.json")
 
     summary = {
@@ -271,12 +275,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_train_accuracy": report.train_accuracy[-1],
         "final_train_loss": report.train_loss[-1],
     }
-    if report.val_accuracy:
-        summary["best_val_accuracy"] = report.best_val_accuracy
-    if report.test_accuracy_final is not None:
-        summary["test_accuracy_final"] = report.test_accuracy_final
-    if report.test_accuracy_best_val is not None:
-        summary["test_accuracy_best_val"] = report.test_accuracy_best_val
+    for key in ("best_val_accuracy", "test_accuracy_final", "test_accuracy_best_val"):
+        if getattr(report, key) is not None:
+            summary[key] = getattr(report, key)
     _emit(summary, args.pretty, None)
     return 0
 
@@ -290,11 +291,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     net = m.load_checkpoint(ckpt_path)
     config = net.config
-    if args.dim is not None and args.dim != config.embed_dim:
-        raise m.CheckpointMismatchError(
-            f"checkpoint embed_dim is {config.embed_dim}, --dim says {args.dim}"
-        )
-    table = embedding.load_embeddings(emb_path, config.embed_dim, oov_seed=args.oov_seed)
+    table = embedding.load_embeddings(emb_path, config.embed_dim)
 
     docs = _load_docs(args, data_path, args.limit, config.seed)
     _check_labels(docs, config.num_classes, data_path)
@@ -324,7 +321,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     emb_path = _resolve_input(args.embeddings)
     net = m.load_checkpoint(ckpt_path)
     config = net.config
-    table = embedding.load_embeddings(emb_path, config.embed_dim, oov_seed=args.oov_seed)
+    table = embedding.load_embeddings(emb_path, config.embed_dim)
 
     text = args.text if args.text is not None else sys.stdin.read()
     grid = corpus.build_grid_dataset(
@@ -347,6 +344,12 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     sub = _SUBCOMMANDS.get(command)
     if sub is None:
         raise ValueError(f"manifest names unknown command {command!r}")
+    if args.out_dir is not None and command != "train":
+        raise ValueError(f"--out-dir applies to a train manifest; {args.manifest} "
+                         f"records {command!r}")
+    # The OOV draw used to take a seed flag; only its default, 0, gives today's draw.
+    if manifest["args"].get("oov_seed", 0) != 0:
+        raise ValueError(f"{args.manifest}: a non-zero oov_seed can no longer be reproduced")
     for name, digest in manifest["input_digests"].items():
         path = Path(name)
         if not path.is_file():
@@ -354,7 +357,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         if _sha256(path) != digest:
             raise ValueError(f"input changed since the manifest was written: {name}")
     replay = argparse.Namespace(**manifest["args"])
-    if args.out_dir is not None and hasattr(replay, "out_dir"):
+    if args.out_dir is not None:
         replay.out_dir = args.out_dir
     log.info("re-running %r from %s", command, args.manifest)
     return sub(replay)
@@ -372,17 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"slcnn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--schema", help="comma-separated text field names for CSV validation")
-        p.add_argument("--strict", action="store_true",
-                       help="abort on malformed dataset rows instead of skipping them")
+    def common_io(p: argparse.ArgumentParser, reads_dataset: bool = True) -> None:
+        if reads_dataset:
+            p.add_argument("--schema", help="comma-separated text field names for CSV validation")
+            p.add_argument("--strict", action="store_true",
+                           help="abort on malformed dataset rows instead of skipping them")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="BLAS thread count (default 1 for strict determinism)")
 
     p = sub.add_parser("stats", help="corpus statistics incl. the derived document threshold")
     p.add_argument("--input", required=True, help="dataset CSV/JSONL")
-    p.add_argument("--ts", type=int, default=46, help="words-per-sentence threshold")
+    p.add_argument("--ts", type=_positive_int, default=46, help="words-per-sentence threshold")
     p.add_argument("--out", help="also write the JSON to this file")
     common_io(p)
     p.set_defaults(handler=cmd_stats)
@@ -391,12 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="training dataset CSV/JSONL")
     p.add_argument("--embeddings", required=True, help="pretrained embedding text file")
     p.add_argument("--test", help="optional test dataset evaluated after training")
-    p.add_argument("--val", help="optional explicit validation dataset")
+    held_out = p.add_mutually_exclusive_group()
+    held_out.add_argument("--val", help="optional explicit validation dataset")
+    held_out.add_argument("--val-frac", type=_fraction, default=0.05,
+                          help="validation fraction split off the training set (0 disables)")
     p.add_argument("--variant", choices=["slcnn", "slcnn+v"], default="slcnn")
     p.add_argument("--fc", choices=["small", "large"], default="small")
     p.add_argument("--td", type=_positive_int,
                    help="sentences-per-document threshold (default: derived)")
-    p.add_argument("--ts", type=int, default=46)
+    p.add_argument("--ts", type=_positive_int, default=46)
     p.add_argument("--dim", type=int, default=100, help="embedding dimension")
     p.add_argument("--classes", type=_positive_int, help="number of classes (default: inferred)")
     p.add_argument("--epochs", type=int, default=50)
@@ -404,13 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--dropout", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oov-seed", type=int, default=0)
     p.add_argument("--limit", type=_positive_int,
                    help="train on a seeded subset of N documents")
     p.add_argument("--test-limit", type=_positive_int,
                    help="evaluate on a seeded subset of N test documents")
-    p.add_argument("--val-frac", type=_fraction, default=0.05,
-                   help="validation fraction when --val is absent (0 disables)")
     p.add_argument("--out-dir", required=True)
     common_io(p)
     p.set_defaults(handler=cmd_train)
@@ -419,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--dim", type=int, help="must match the checkpoint when given")
-    p.add_argument("--oov-seed", type=int, default=0)
     p.add_argument("--limit", type=_positive_int)
     p.add_argument("--out", help="also write the JSON to this file")
     common_io(p)
@@ -430,14 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--text", help="text to classify (default: read stdin)")
-    p.add_argument("--oov-seed", type=int, default=0)
     p.add_argument("--out", help="also write the JSON to this file")
-    common_io(p)
+    common_io(p, reads_dataset=False)
     p.set_defaults(handler=cmd_predict)
 
     p = sub.add_parser("rerun", help="replay a command from its run manifest")
     p.add_argument("manifest")
-    p.add_argument("--out-dir", help="redirect outputs (default: manifest's out dir)")
+    p.add_argument("--out-dir", help="redirect a train manifest's outputs")
     p.set_defaults(handler=cmd_rerun)
 
     return parser
@@ -466,7 +467,6 @@ def main(argv: list[str] | None = None) -> int:
         corpus.EmptyCorpusError,
         embedding.EmbeddingFormatError,
         m.ConfigError,
-        m.CheckpointMismatchError,
         ValueError,
         KeyError,
     )

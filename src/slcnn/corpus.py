@@ -326,8 +326,6 @@ def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
 class GridDataset:
     """Token grids in id form: 0 is the pad id, token i of *vocab* has id i+1."""
 
-    doc_len: int
-    sent_len: int
     vocab: list[str]
     labels: np.ndarray  # (N,) int64
     grids: np.ndarray  # (N, doc_len, sent_len) int32
@@ -365,8 +363,6 @@ def build_grid_dataset_from_token_docs(
     if not labels:
         raise EmptyCorpusError("cannot build a grid dataset from zero documents")
     return GridDataset(
-        doc_len=doc_len,
-        sent_len=sent_len,
         vocab=list(vocab),
         labels=np.array(labels, dtype=np.int64),
         grids=np.stack(grid_rows),

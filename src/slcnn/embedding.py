@@ -2,8 +2,8 @@
 
 Embeddings are frozen: they contribute no trainable parameters.  Tokens
 missing from the table get a deterministic random vector drawn uniformly
-from [-0.01, 0.01], keyed by (token, oov_seed) so the draw is independent
-of vocabulary order and process restarts.
+from [-0.01, 0.01], keyed by the token alone, so the draw is independent of
+vocabulary order and process restarts and no setting can change it.
 """
 
 from __future__ import annotations
@@ -34,25 +34,23 @@ def _fnv1a64(data: bytes) -> int:
 @dataclass
 class EmbeddingTable:
     """Pretrained vectors: token t has row vocab[t] of *matrix*.  Tokens not
-    in *vocab* get oov_vector(token, dim, oov_seed)."""
+    in *vocab* get oov_vector(token, dim)."""
 
     dim: int
     vocab: dict[str, int]
     matrix: np.ndarray  # (len(vocab), dim) float32
-    oov_seed: int = 0
 
 
-def oov_vector(token: str, dim: int, oov_seed: int) -> np.ndarray:
+def oov_vector(token: str, dim: int) -> np.ndarray:
     """The deterministic vector of a token missing from the table."""
-    seed = _fnv1a64(token.encode("utf-8")) ^ (oov_seed & 0xFFFFFFFFFFFFFFFF)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_fnv1a64(token.encode("utf-8"))))
     vec = rng.uniform(-OOV_RANGE, OOV_RANGE, dim).astype(np.float32)
     # float32 rounding may land a hair outside the open interval.
     np.clip(vec, np.float32(-OOV_RANGE), np.float32(OOV_RANGE), out=vec)
     return vec
 
 
-def load_embeddings(path: str | Path, dim: int, *, oov_seed: int = 0) -> EmbeddingTable:
+def load_embeddings(path: str | Path, dim: int) -> EmbeddingTable:
     """Parse a text embedding file: one token plus *dim* values per line.
 
     Fields are separated by single spaces, so a line is well formed when it
@@ -91,7 +89,7 @@ def load_embeddings(path: str | Path, dim: int, *, oov_seed: int = 0) -> Embeddi
     # loadtxt skips, so the row count is checked as well.
     if matrix is None or matrix.shape != (len(vocab), dim):
         raise _first_bad_line(path, dim)
-    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix, oov_seed=oov_seed)
+    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
 
 
 def _parse_values(lines: Iterable[str]) -> np.ndarray:
@@ -140,5 +138,5 @@ def embedding_matrix_for_vocab(table: EmbeddingTable, vocab: Sequence[str]) -> n
     known = np.flatnonzero(rows >= 0)
     out[known + 1] = table.matrix[rows[known]]
     for i in np.flatnonzero(rows < 0):
-        out[i + 1] = oov_vector(vocab[i], table.dim, table.oov_seed)
+        out[i + 1] = oov_vector(vocab[i], table.dim)
     return out

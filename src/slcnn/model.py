@@ -72,10 +72,6 @@ class CheckpointError(Exception):
     """Raised for corrupt, truncated, or incompatible checkpoint files."""
 
 
-class CheckpointMismatchError(CheckpointError):
-    """Checkpoint architecture differs from what the caller expects."""
-
-
 class TrainingDivergedError(Exception):
     def __init__(self, epoch: int, batch: int, detail: str) -> None:
         super().__init__(f"training diverged at epoch {epoch}, batch {batch}: {detail}")
@@ -297,13 +293,9 @@ class Model:
             )
         return grads
 
-    def forward(
-        self,
-        x: np.ndarray,
-        mode: str = "eval",
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        logits, _ = self._forward_with_caches(x, mode, rng)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode logits; training runs _forward_with_caches."""
+        logits, _ = self._forward_with_caches(x, "eval", None)
         return logits
 
     def _forward_with_caches(
@@ -511,14 +503,14 @@ def train(
 
 
 def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
-    return nn.softmax(model.forward(x, "eval"))
+    return nn.softmax(model.forward(x))
 
 
 def predict_labels(model: Model, data: EmbeddedDataset, batch_size: int = 256) -> np.ndarray:
     """Argmax class per document; ties resolve to the lowest class index."""
     preds = np.empty(len(data), dtype=np.int64)
     for idx in _batches(len(data), batch_size):
-        logits = model.forward(data.tensors(idx), "eval")
+        logits = model.forward(data.tensors(idx))
         preds[idx] = logits.argmax(axis=1)
     return preds
 

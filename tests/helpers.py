@@ -176,7 +176,7 @@ def load_embeddings_per_line(path: Path, dim: int) -> tuple[dict[str, int], np.n
 def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
     """The per-token lookup oracle: the stored row, else the token's OOV draw."""
     row = table.vocab.get(token)
-    return table.matrix[row] if row is not None else oov_vector(token, table.dim, table.oov_seed)
+    return table.matrix[row] if row is not None else oov_vector(token, table.dim)
 
 
 def tensorize(doc: list[list[str]], doc_len: int, sent_len: int,
@@ -510,7 +510,7 @@ def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn") 
     analytic = {name: g for (name, _), g in zip(blocks, grads)}
 
     def loss():
-        losses, _ = nn.softmax_cross_entropy(net64.forward(x, "eval"), labels)
+        losses, _ = nn.softmax_cross_entropy(net64.forward(x), labels)
         return float(losses.mean())
 
     # The FD oracle's own noise is ~eps64 * |loss| / epsilon ~ 2e-11, so

@@ -74,6 +74,15 @@ class TestStats:
         assert code == 2
         assert "input file not found" in err and out == ""
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_ts_below_one_exits_2(self, synth_train_csv, tmp_path, capsys, value):
+        out_file = tmp_path / "stats.json"
+        code, out, err = run_cli(["stats", "--input", str(synth_train_csv), f"--ts={value}",
+                                  "--out", str(out_file)], capsys)
+        assert code == 2
+        assert "--ts" in err and not out
+        assert not out_file.exists()
+
     def test_out_file_and_manifest(self, synth_train_csv, tmp_path, capsys):
         out_file = tmp_path / "stats.json"
         code, _, _ = run_cli(
@@ -170,6 +179,34 @@ class TestTrain:
         ], capsys)
         assert code == 2
         assert flag in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_ts_below_one_exits_2(self, synth_train_csv, synth_embeddings, tmp_path, capsys,
+                                  value):
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8",
+            f"--ts={value}",
+        ], capsys)
+        assert code == 2
+        assert "--ts" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["0.5", "0.05"])
+    def test_val_with_explicit_val_frac_exits_2(self, synth_train_csv, synth_test_csv,
+                                                synth_embeddings, tmp_path, capsys, value):
+        # Only one held-out source can take effect; even the default value
+        # given explicitly is a contradiction.
+        out_dir = tmp_path / "never"
+        code, _, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8",
+            "--val", str(synth_test_csv), "--val-frac", value,
+        ], capsys)
+        assert code == 2
+        assert "--val-frac" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("value", ["-0.5", "1.0", "1.5", "nan", "x"])
@@ -270,6 +307,63 @@ class TestTrain:
         assert not (tmp_path / "replay" / "model.slcnn").exists()
 
 
+class TestRerun:
+    @pytest.fixture
+    def stats_manifest(self, synth_train_csv, tmp_path, capsys) -> Path:
+        out_file = tmp_path / "stats.json"
+        code, _, _ = run_cli(["stats", "--input", str(synth_train_csv), "--out", str(out_file)],
+                             capsys)
+        assert code == 0
+        out_file.write_text("earlier\n", encoding="utf-8")
+        return out_file.with_suffix(".manifest.json")
+
+    @pytest.fixture
+    def eval_manifest(self, trained, synth_train_csv, synth_embeddings, tmp_path,
+                      capsys) -> Path:
+        out_file = tmp_path / "eval.json"
+        code, _, _ = run_cli([
+            "eval", "--checkpoint", str(trained / "model.slcnn"),
+            "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--limit", "8", "--out", str(out_file),
+        ], capsys)
+        assert code == 0
+        out_file.write_text("earlier\n", encoding="utf-8")
+        return out_file.with_suffix(".manifest.json")
+
+    @pytest.mark.parametrize("which", ["stats_manifest", "eval_manifest"])
+    def test_out_dir_needs_a_train_manifest(self, request, tmp_path, capsys, which):
+        manifest = request.getfixturevalue(which)
+        before = manifest.read_bytes()
+        code, out, err = run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "d")],
+                                 capsys)
+        assert code == 2
+        assert "--out-dir" in err and str(manifest) in err and not out
+        assert not (tmp_path / "d").exists()
+        assert manifest.read_bytes() == before
+        assert Path(json.loads(before)["outputs"][0]).read_text() == "earlier\n"
+
+    def test_nonzero_oov_seed_cannot_replay(self, stats_manifest, capsys):
+        recorded = json.loads(stats_manifest.read_text())
+        recorded["args"]["oov_seed"] = 7
+        stats_manifest.write_text(json.dumps(recorded))
+        code, out, err = run_cli(["rerun", str(stats_manifest)], capsys)
+        assert code == 2
+        assert "oov_seed" in err and str(stats_manifest) in err and not out
+        assert Path(recorded["outputs"][0]).read_text() == "earlier\n"
+
+    def test_oov_seed_zero_replays(self, trained, tmp_path, capsys):
+        # Manifests written while the seed flag existed record its default, 0.
+        recorded = json.loads((trained / "manifest.json").read_text())
+        recorded["args"]["oov_seed"] = 0
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(recorded))
+        code, _, _ = run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "replay")],
+                             capsys)
+        assert code == 0
+        assert (tmp_path / "replay" / "model.slcnn").read_bytes() == \
+               (trained / "model.slcnn").read_bytes()
+
+
 class TestEval:
     def test_eval_json(self, trained, synth_train_csv, synth_embeddings, capsys):
         code, out, _ = run_cli([
@@ -346,14 +440,18 @@ class TestEval:
         assert code == 2
         assert str(synth_train_csv) in err and "class index" in err and not out
 
-    def test_dim_mismatch_exits_2(self, trained, synth_train_csv, synth_embeddings, capsys):
-        code, _, err = run_cli([
+    def test_dim_mismatch_exits_2(self, trained, synth_train_csv, tmp_path, capsys):
+        # The checkpoint says 100-d; the parser checks every line against that.
+        narrow = helpers.write_embeddings_file(tmp_path / "e50.txt", ["stocks", "game"], dim=50)
+        out_file = tmp_path / "eval.json"
+        code, out, err = run_cli([
             "eval", "--checkpoint", str(trained / "model.slcnn"),
-            "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
-            "--dim", "50",
+            "--input", str(synth_train_csv), "--embeddings", str(narrow),
+            "--out", str(out_file),
         ], capsys)
         assert code == 2
-        assert "embed_dim" in err
+        assert f"{narrow}:1:" in err and not out
+        assert not out_file.exists()
 
     def test_corrupt_checkpoint_exits_1(self, trained, synth_train_csv, synth_embeddings,
                                         tmp_path, capsys):
@@ -409,8 +507,7 @@ class TestPredict:
             assert code == 0
             grid = corpus.build_grid_dataset([corpus.RawDocument(0, [text])],
                                              net.config.doc_len, net.config.sent_len)
-            logits = net.forward(m.EmbeddedDataset.build(grid, table).tensors(slice(None)),
-                                 "eval")
+            logits = net.forward(m.EmbeddedDataset.build(grid, table).tensors(slice(None)))
             assert json.loads(out)["probabilities"] == nn.softmax(logits)[0].tolist()
 
 
@@ -484,6 +581,24 @@ class TestThreadFlag:
         assert code == 0
         assert seen == [["2", "2", "2"]]
 
+    @pytest.mark.parametrize("threads", [0, -1, "many", True, "2", 2.0])
+    def test_rerun_rejects_bad_recorded_count(self, monkeypatch, tmp_path, capsys, threads):
+        for var in self.VARS:
+            monkeypatch.setenv(var, "8")
+        manifest = tmp_path / "stats.manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "stats", "input_digests": {},
+            "args": {"command": "stats", "threads": threads},
+        }))
+        seen = []
+        monkeypatch.setitem(cli._SUBCOMMANDS, "stats", lambda replay: seen.append(1) or 0)
+        code, out, err = run_cli(["rerun", str(manifest)], capsys)
+        assert code == 2
+        assert str(manifest) in err and "thread count" in err and not out
+        assert seen == []
+        for var in self.VARS:
+            assert os.environ[var] == "8"
+
 
 class TestExitCodeContract:
     def test_unknown_flag_is_usage_error(self):
@@ -498,6 +613,30 @@ class TestExitCodeContract:
         proc = run_cli_subprocess(["stats", "--input", "/no/such/file.csv"])
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--oov-seed=0"),
+        ("eval", "--oov-seed=0"),
+        ("predict", "--oov-seed=0"),
+        ("eval", "--dim=100"),
+        ("predict", "--schema=text"),
+        ("predict", "--strict"),
+    ])
+    def test_removed_flag_is_usage_error(self, trained, synth_train_csv, synth_embeddings,
+                                         tmp_path, capsys, command, flag):
+        # Each flag could only repeat or contradict a setting fixed elsewhere.
+        rest = {
+            "train": ["--input", str(synth_train_csv), "--out-dir", str(tmp_path / "never"),
+                      "--limit", "8", "--epochs", "1", "--batch-size", "8"],
+            "eval": ["--checkpoint", str(trained / "model.slcnn"),
+                     "--input", str(synth_train_csv), "--limit", "8"],
+            "predict": ["--checkpoint", str(trained / "model.slcnn"), "--text", "Stocks rose."],
+        }[command]
+        code, out, err = run_cli([command, "--embeddings", str(synth_embeddings), *rest, flag],
+                                 capsys)
+        assert code == 2
+        assert flag.split("=")[0] in err and not out
+        assert not (tmp_path / "never").exists()
 
     def test_version_flag(self):
         proc = run_cli_subprocess(["--version"])

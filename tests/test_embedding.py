@@ -30,7 +30,7 @@ from slcnn.model import EmbeddedDataset
 def toy_table(tmp_path) -> EmbeddingTable:
     path = tmp_path / "emb.txt"
     path.write_text("a 1.0 2.0\nb 3.0 4.0\n", encoding="utf-8")
-    return load_embeddings(path, 2, oov_seed=42)
+    return load_embeddings(path, 2)
 
 
 class TestLoadEmbeddings:
@@ -88,7 +88,7 @@ class TestLookup:
 
     def test_oov_deterministic_and_in_range(self, toy_table):
         first = embedding_matrix_for_vocab(toy_table, ["qzxv"])[1]
-        assert np.array_equal(first, oov_vector("qzxv", 2, 42))
+        assert np.array_equal(first, oov_vector("qzxv", 2))
         assert np.array_equal(first, embedding_matrix_for_vocab(toy_table, ["a", "qzxv"])[2])
         assert np.all(np.abs(first) <= 0.01)
 
@@ -96,26 +96,27 @@ class TestLookup:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             token = "".join(chr(rng.integers(97, 123)) for _ in range(rng.integers(1, 12)))
-            vec = oov_vector(token, 100, 7)
+            vec = oov_vector(token, 100)
             assert vec.shape == (100,) and vec.dtype == np.float32
             assert np.all(vec >= -0.01) and np.all(vec <= 0.01)
-            assert np.array_equal(vec, oov_vector(token, 100, 7))
+            assert np.array_equal(vec, oov_vector(token, 100))
 
-    def test_oov_depends_on_seed_not_order(self, toy_table):
+    def test_oov_depends_on_token_not_order(self, toy_table):
         vocab = ["word", "a", "other", "b", "third"]
         matrix = embedding_matrix_for_vocab(toy_table, vocab)
         order = [3, 0, 4, 2, 1]
         shuffled = embedding_matrix_for_vocab(toy_table, [vocab[k] for k in order])
         assert np.array_equal(shuffled[1:], matrix[1:][order])
-        assert not np.array_equal(oov_vector("word", 8, 1), oov_vector("word", 8, 2))
+        assert np.array_equal(matrix[1], oov_vector("word", 2))
+        assert not np.array_equal(oov_vector("word", 8), oov_vector("other", 8))
 
     def test_oov_vector_is_pinned(self):
         # Bits of the FNV-1a/PCG64 draw; checkpoints trained on OOV rows
-        # depend on them.
-        want = {("qzxv", 4, 7): [3148618146, 1002731528, 3148642123, 3138707925],
-                ("\u00e9tat", 3, -1): [1003361042, 995488513, 3150506124]}
-        for (token, dim, seed), bits in want.items():
-            assert oov_vector(token, dim, seed).view(np.uint32).tolist() == bits
+        # depend on them.  They are the draws of the former default seed 0.
+        want = {("qzxv", 4): [3152358753, 3095880025, 3155363015, 1007343890],
+                ("\u00e9tat", 3): [998469124, 1007605713, 3149930381]}
+        for (token, dim), bits in want.items():
+            assert oov_vector(token, dim).view(np.uint32).tolist() == bits
 
 
 def _tensors(token_docs, doc_len: int, sent_len: int, table: EmbeddingTable) -> EmbeddedDataset:
@@ -146,12 +147,12 @@ class TestTensorize:
         )
         assert float(np.abs(tensor).sum()) == pytest.approx(expected, rel=1e-6)
 
-    def test_stage_is_pure_function_of_file_and_seed(self, tmp_path):
+    def test_stage_is_pure_function_of_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 0.5 -0.25\nb 1.5 2.5\n", encoding="utf-8")
         grid = build_grid_dataset([RawDocument(0, ["A b mystery. Unknown b a."])], 3, 4)
-        t1 = EmbeddedDataset.build(grid, load_embeddings(path, 2, oov_seed=9)).tensors(0)
-        t2 = EmbeddedDataset.build(grid, load_embeddings(path, 2, oov_seed=9)).tensors(0)
+        t1 = EmbeddedDataset.build(grid, load_embeddings(path, 2)).tensors(0)
+        t2 = EmbeddedDataset.build(grid, load_embeddings(path, 2)).tensors(0)
         assert np.array_equal(t1, t2)
 
 

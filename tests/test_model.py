@@ -214,7 +214,7 @@ class TestForward:
         net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=4))
         doc = np.random.default_rng(1).normal(size=(4, 46, 100)).astype(F32)
         batch = np.stack([doc] * 5)
-        logits = net.forward(batch, "eval")
+        logits = net.forward(batch)
         for row in logits[1:]:
             assert np.array_equal(row, logits[0])
 
@@ -476,7 +476,7 @@ class TestEmbeddedDataset:
         emb_path = helpers.write_embeddings_file(
             tmp_path / "e.txt", helpers.corpus_vocab(docs)[:20], dim=8, seed=6
         )
-        table = load_embeddings(emb_path, 8, oov_seed=3)
+        table = load_embeddings(emb_path, 8)
         grid_ds = build_grid_dataset(docs, 3, 10)
         data = EmbeddedDataset.build(grid_ds, table)
         batch = data.tensors(np.arange(len(docs)))
