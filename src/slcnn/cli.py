@@ -169,6 +169,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     from . import corpus, embedding, model as m
 
+    # Rejected before any input is read, not after every epoch has run.
+    out_dir = Path(args.out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out-dir {args.out_dir}: {existing} is not a directory")
     train_path = _resolve_input(args.input)
     emb_path = _resolve_input(args.embeddings)
     test_path = _resolve_input(args.test) if args.test else None
@@ -243,7 +248,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         test_data = m.EmbeddedDataset.build(test_grid, table)
         report.test_accuracy_final = m.evaluate(net, test_data)
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
@@ -340,10 +344,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    command = manifest["command"]
-    sub = _SUBCOMMANDS.get(command)
-    if sub is None:
-        raise ValueError(f"manifest names unknown command {command!r}")
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("args"), dict)
+            and isinstance(manifest.get("input_digests"), dict)):
+        raise ValueError(f"{args.manifest}: not a run manifest (an object whose "
+                         "args and input_digests are objects)")
+    command = manifest.get("command")
+    if not isinstance(command, str) or command not in _SUBCOMMANDS:
+        raise ValueError(f"{args.manifest}: names unknown command {command!r}")
+    missing = sorted(_command_options(command) - manifest["args"].keys())
+    if missing:
+        raise ValueError(f"{args.manifest}: args lack {', '.join(missing)}, "
+                         f"which {command!r} reads")
     if args.out_dir is not None and command != "train":
         raise ValueError(f"--out-dir applies to a train manifest; {args.manifest} "
                          f"records {command!r}")
@@ -360,7 +371,13 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     if args.out_dir is not None:
         replay.out_dir = args.out_dir
     log.info("re-running %r from %s", command, args.manifest)
-    return sub(replay)
+    return _SUBCOMMANDS[command](replay)
+
+
+def _command_options(command: str) -> set[str]:
+    """The option names *command*'s parser defines: every field its handler reads."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest for a in subparsers.choices[command]._actions} - {"help"}
 
 
 # --------------------------------------------------------------------------
@@ -404,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--td", type=_positive_int,
                    help="sentences-per-document threshold (default: derived)")
     p.add_argument("--ts", type=_positive_int, default=46)
-    p.add_argument("--dim", type=int, default=100, help="embedding dimension")
+    p.add_argument("--dim", type=_positive_int, default=100, help="embedding dimension")
     p.add_argument("--classes", type=_positive_int, help="number of classes (default: inferred)")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.001)

@@ -1,12 +1,13 @@
 """The sentence-level CNN: block assembly, training, and checkpoints.
 
-Two variants share a trunk of four horizontal convolutional blocks (HCBs),
-each two 1x2 conv+ReLU layers and a horizontal max-pool, which collapse
-the 46-wide word axis to 1 (46 -> 22 -> 10 -> 4 -> 1) while never mixing
-sentence rows.  The "+v" variant inserts a vertical convolutional block
-(two 2x1 conv+ReLU layers and a vertical max-pool) that mixes adjacent
-sentences before the dense head.  After the first conv layer every bank
-convolves across all 128 channels.
+Every block of the trunk is one primitive: two conv+ReLU layers, then a
+size-2 max-pool.  Two variants share four horizontal convolutional blocks
+(HCBs), which run 1x2 filters and pool along the words, collapsing the
+46-wide word axis to 1 (46 -> 22 -> 10 -> 4 -> 1) while never mixing
+sentence rows.  The "+v" variant adds a vertical convolutional block (VCB)
+of 2x1 filters that pools along the sentences, mixing adjacent ones before
+the dense head.  After the first conv layer every bank convolves across
+all 128 channels.
 
 Because the HCBs never mix rows, the trunk runs them over the batch's
 sentence rows in blocks of at most ROW_BLOCK rows, which keeps each
@@ -120,8 +121,9 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        if self.doc_len < 1:
-            raise ConfigError("doc_len must be >= 1")
+        for name in ("doc_len", "embed_dim", "num_filters", "fc_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.variant == SLCNN_V and self.doc_len < 4:
             raise ConfigError(
                 f"variant {SLCNN_V!r} needs doc_len >= 4 (two 2x1 convs then a pool "
@@ -145,14 +147,9 @@ class ModelConfig:
         return len(self.hcb_widths)
 
     @property
-    def flatten_rows(self) -> int:
-        if self.variant == SLCNN_V:
-            return (self.doc_len - 2) // 2
-        return self.doc_len
-
-    @property
     def flatten_size(self) -> int:
-        return self.flatten_rows * self.num_filters
+        rows = (self.doc_len - 2) // 2 if self.variant == SLCNN_V else self.doc_len
+        return rows * self.num_filters
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -246,7 +243,9 @@ class Model:
                 f"got {x.shape}"
             )
 
-    def _conv_trunk(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+    def _conv_trunk(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Trunk features (batch, rows, 1, c) and the caches _backward reads:
+        the row blocks, each block's HCB caches, and the VCB's (or None)."""
         self._check_input(x)
         batch, rows = x.shape[:2]
         flat = x.reshape(batch * rows, 1, *x.shape[2:])
@@ -257,23 +256,17 @@ class Model:
             outs.append(y)
             block_caches.append(hcb_caches)
         y = np.concatenate(outs).reshape(batch, rows, 1, -1)
-        caches: list = [("hcb", blocks, block_caches)]
-        if self.config.variant == SLCNN_V:
-            y, c1 = nn.conv2d_forward(y, self.vcb_banks[0], "relu")
-            y, c2 = nn.conv2d_forward(y, self.vcb_banks[1], "relu")
-            y, cp = nn.maxpool_forward(y, nn.VERTICAL)
-            caches.append(("vcb", c1, c2, cp))
-        return y, caches
+        vcb_cache = None
+        if self.vcb_banks:
+            y, vcb_cache = _block_forward(y, self.vcb_banks, nn.VERTICAL)
+        return y, (blocks, block_caches, vcb_cache)
 
     def _hcb_forward(self, y: np.ndarray) -> tuple[np.ndarray, list]:
         """The HCBs over one block of sentence rows, shaped (R, 1, 46, c)."""
         caches = []
-        for hcb in range(self.config.num_hcb):
-            bank_a, bank_b = self.conv_banks[2 * hcb], self.conv_banks[2 * hcb + 1]
-            y, c1 = nn.conv2d_forward(y, bank_a, "relu")
-            y, c2 = nn.conv2d_forward(y, bank_b, "relu")
-            y, cp = nn.maxpool_forward(y, nn.HORIZONTAL)
-            caches.append((c1, c2, cp))
+        for i in range(0, len(self.conv_banks), 2):
+            y, cache = _block_forward(y, self.conv_banks[i : i + 2], nn.HORIZONTAL)
+            caches.append(cache)
         return y, caches
 
     def _hcb_backward(self, caches: list, g: np.ndarray) -> list[np.ndarray]:
@@ -281,63 +274,46 @@ class Model:
 
         The first conv reads the frozen embeddings, so its input gradient
         is never formed."""
-        grads: list = [None] * (4 * self.config.num_hcb)
-        for hcb in range(self.config.num_hcb - 1, -1, -1):
-            c1, c2, cp = caches[hcb]
-            g = nn.maxpool_backward(cp, g)
-            g, grads[4 * hcb + 2], grads[4 * hcb + 3] = nn.conv2d_backward(
-                self.conv_banks[2 * hcb + 1], c2, g
+        grads: list[np.ndarray] = []
+        for i in range(len(self.conv_banks) - 2, -1, -2):
+            g, block_grads = _block_backward(
+                self.conv_banks[i : i + 2], caches[i // 2], g, need_input_grad=i > 0
             )
-            g, grads[4 * hcb], grads[4 * hcb + 1] = nn.conv2d_backward(
-                self.conv_banks[2 * hcb], c1, g, need_input_grad=hcb > 0
-            )
+            grads[:0] = block_grads
         return grads
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode logits; training runs _forward_with_caches."""
-        logits, _ = self._forward_with_caches(x, "eval", None)
-        return logits
+        return self._forward_with_caches(x, None)[0]
 
     def _forward_with_caches(
-        self, x: np.ndarray, mode: str, rng: np.random.Generator | None
-    ) -> tuple[np.ndarray, list]:
-        cfg = self.config
-        y, caches = self._conv_trunk(x)
+        self, x: np.ndarray, rng: np.random.Generator | None
+    ) -> tuple[np.ndarray, tuple]:
+        """Logits and caches; dropout draws from *rng*, and None is eval."""
+        y, trunk_caches = self._conv_trunk(x)
         pre_flatten_shape = y.shape
-        y = nn.flatten_rows(y)
-        caches.append(("flatten", pre_flatten_shape))
-        for name, layer in (("fc1", self.fc1), ("fc2", self.fc2)):
+        # Row-major over (row, channel): row 0's channels, then row 1's.
+        y = y.reshape(len(y), -1)
+        head_caches = []
+        for layer in (self.fc1, self.fc2):
             y, dc = nn.dense_forward(y, layer, "relu")
-            y, mask = nn.dropout(y, cfg.dropout_rate, mode, rng)
-            caches.append((name, dc, mask))
-        logits, dc = nn.dense_forward(y, self.out, "identity")
-        caches.append(("out", dc))
-        return logits, caches
+            y, mask = nn.dropout(y, self.config.dropout_rate, rng)
+            head_caches.append((dc, mask))
+        logits, out_cache = nn.dense_forward(y, self.out, "identity")
+        return logits, (trunk_caches, pre_flatten_shape, head_caches, out_cache)
 
-    def _backward(self, caches: list, grad_logits: np.ndarray) -> list[np.ndarray]:
+    def _backward(self, caches: tuple, grad_logits: np.ndarray) -> list[np.ndarray]:
         """Gradients for every parameter block, aligned with param_blocks()."""
-        grads: dict[str, np.ndarray] = {}
-        stack = list(caches)
-
-        kind, dc = stack.pop()
-        g, grads["out.w"], grads["out.b"] = nn.dense_backward(self.out, dc, grad_logits)
-        for name, layer in (("fc2", self.fc2), ("fc1", self.fc1)):
-            kind, dc, mask = stack.pop()
-            g = g * mask
-            g, grads[name + ".w"], grads[name + ".b"] = nn.dense_backward(layer, dc, g)
-        kind, pre_flatten_shape = stack.pop()
+        (blocks, block_caches, vcb_cache), pre_flatten_shape, head_caches, out_cache = caches
+        (dc1, mask1), (dc2, mask2) = head_caches
+        g, out_w, out_b = nn.dense_backward(self.out, out_cache, grad_logits)
+        g, fc2_w, fc2_b = nn.dense_backward(self.fc2, dc2, g * mask2)
+        g, fc1_w, fc1_b = nn.dense_backward(self.fc1, dc1, g * mask1)
         g = g.reshape(pre_flatten_shape)
 
-        if self.config.variant == SLCNN_V:
-            kind, c1, c2, cp = stack.pop()
-            g = nn.maxpool_backward(cp, g)
-            g, grads["vcb.conv2.w"], grads["vcb.conv2.b"] = nn.conv2d_backward(
-                self.vcb_banks[1], c2, g
-            )
-            g, grads["vcb.conv1.w"], grads["vcb.conv1.b"] = nn.conv2d_backward(
-                self.vcb_banks[0], c1, g
-            )
-        kind, blocks, block_caches = stack.pop()
+        vcb_grads = []
+        if vcb_cache is not None:
+            g, vcb_grads = _block_backward(self.vcb_banks, vcb_cache, g)
         g = g.reshape(-1, 1, 1, g.shape[-1])
         # Block gradients are summed into the first block's arrays in block
         # order, so the sum is fixed by the batch's row count.
@@ -345,9 +321,29 @@ class Model:
         for block, hcb_caches in zip(blocks[1:], block_caches[1:]):
             for acc, part in zip(conv_grads, self._hcb_backward(hcb_caches, g[block])):
                 acc += part
-        names = [name for name, _ in self.param_blocks()]
-        grads.update(zip(names, conv_grads))
-        return [grads[name] for name in names]
+        return conv_grads + vcb_grads + [fc1_w, fc1_b, fc2_w, fc2_b, out_w, out_b]
+
+
+def _block_forward(
+    y: np.ndarray, banks: Sequence[nn.ConvFilterBank], axis: str
+) -> tuple[np.ndarray, tuple]:
+    """One block: conv+ReLU, conv+ReLU, then a size-2 max-pool along *axis*."""
+    y, c1 = nn.conv2d_forward(y, banks[0], "relu")
+    y, c2 = nn.conv2d_forward(y, banks[1], "relu")
+    y, cp = nn.maxpool_forward(y, axis)
+    return y, (c1, c2, cp)
+
+
+def _block_backward(
+    banks: Sequence[nn.ConvFilterBank], caches: tuple, g: np.ndarray, need_input_grad: bool = True
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """The block's input gradient (None without *need_input_grad*) and its
+    bank gradients [gw1, gb1, gw2, gb2], in param_blocks() order."""
+    c1, c2, cp = caches
+    g = nn.maxpool_backward(cp, g)
+    g, gw2, gb2 = nn.conv2d_backward(banks[1], c2, g)
+    g, gw1, gb1 = nn.conv2d_backward(banks[0], c1, g, need_input_grad=need_input_grad)
+    return g, [gw1, gb1, gw2, gb2]
 
 
 def _row_blocks(rows: int) -> list[slice]:
@@ -475,7 +471,7 @@ def train(
         for batch_no, idx in enumerate(_batches(n, cfg.batch_size, order)):
             x = train_data.tensors(idx)
             y = train_data.labels[idx]
-            logits, caches = model._forward_with_caches(x, "train", drop_rng)
+            logits, caches = model._forward_with_caches(x, drop_rng)
             try:
                 losses, grad_logits = nn.softmax_cross_entropy(logits, y)
                 grads = model._backward(caches, grad_logits)

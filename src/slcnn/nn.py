@@ -1,9 +1,10 @@
 """Minimal deterministic tensor engine for the sentence-level CNN.
 
-Feature maps are numpy arrays shaped (rows, cols, channels), row-major
-with channels innermost; every op also accepts a leading batch dimension.
-The model path runs in float32; float64 arrays are accepted so gradient
-checking can run a shadow copy at higher precision.
+Inputs are batches only: conv and pool take a rank-4 (batch, rows, cols,
+channels) array, row-major with channels innermost, and dense a rank-2
+(batch, features) array; any other rank raises ShapeError.  The model path
+runs in float32; float64 arrays are accepted so gradient checking can run a
+shadow copy at higher precision.
 
 Determinism contract: every op is a fixed sequence of numpy calls on its
 operands.  Convolution adds one matmul over the channel axis per filter
@@ -35,17 +36,11 @@ class OptimizerError(Exception):
     """Raised on non-finite gradients, naming the offending parameter block."""
 
 
-def _check_float(x: np.ndarray, what: str) -> None:
+def _check_batch(x: np.ndarray, ndim: int, what: str) -> None:
     if x.dtype not in (np.float32, np.float64):
         raise ShapeError(f"{what} must be float32 or float64, got {x.dtype}")
-
-
-def _batched(x: np.ndarray, core_ndim: int) -> tuple[np.ndarray, bool]:
-    if x.ndim == core_ndim:
-        return x[None], False
-    if x.ndim == core_ndim + 1:
-        return x, True
-    raise ShapeError(f"expected a rank-{core_ndim} array or a batch of them, got rank {x.ndim}")
+    if x.ndim != ndim:
+        raise ShapeError(f"{what} must be a rank-{ndim} batch, got rank {x.ndim}")
 
 
 # --------------------------------------------------------------------------
@@ -111,14 +106,12 @@ def conv2d_forward(
 ) -> tuple[np.ndarray, ConvCache]:
     """Valid convolution, stride 1: out[i,j,q] = act(sum_w x-window + b[q]).
 
-    Input (m, n, c_in) or (B, m, n, c_in); output spatial extent shrinks to
-    (m - s + 1, n - t + 1).
+    Input is a batch (B, m, n, c_in); output (B, m - s + 1, n - t + 1, k).
     """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    _check_float(x, "conv input")
-    xb, batched = _batched(x, 3)
-    batch, m, n, c_in = xb.shape
+    _check_batch(x, 4, "conv input")
+    batch, m, n, c_in = x.shape
     s, t = bank.extent
     if c_in != bank.in_channels:
         raise ShapeError(f"input has {c_in} channels, filters expect {bank.in_channels}")
@@ -126,27 +119,26 @@ def conv2d_forward(
         raise ShapeError(f"input {m}x{n} smaller than filter extent {s}x{t}")
     om, on = m - s + 1, n - t + 1
 
-    w = bank.weights.astype(xb.dtype, copy=False)
+    w = bank.weights.astype(x.dtype, copy=False)
     # Tap accumulation in row-major (a, b) order; each tap contracts the
     # channel axis with one GEMM over all batch/spatial positions.
     flat = None
     for a in range(s):
         for b in range(t):
-            window = xb[:, a : a + om, b : b + on, :].reshape(-1, c_in)
+            window = x[:, a : a + om, b : b + on, :].reshape(-1, c_in)
             contrib = window @ w[:, a, b, :].T
             if flat is None:
                 flat = contrib
             else:
                 flat += contrib
-    flat += bank.biases.astype(xb.dtype, copy=False)
+    flat += bank.biases.astype(x.dtype, copy=False)
     out = flat.reshape(batch, om, on, bank.num_filters)
 
     mask = None
     if activation == "relu":
         mask = out > 0
         np.maximum(out, 0, out=out)
-    cache = ConvCache(x=xb, relu_mask=mask, out_shape=out.shape)
-    return (out if batched else out[0]), cache
+    return out, ConvCache(x=x, relu_mask=mask, out_shape=out.shape)
 
 
 def conv2d_backward(
@@ -160,31 +152,27 @@ def conv2d_backward(
     With ``need_input_grad=False`` the input gradient is not computed and
     None is returned in its place (the layer over frozen embeddings).
     """
-    up, batched = _batched(upstream, 3)
-    if up.shape != cache.out_shape:
-        raise ShapeError(f"upstream shape {up.shape} != forward output {cache.out_shape}")
-    if cache.relu_mask is not None:
-        up = up * cache.relu_mask
-    xb = cache.x
+    if upstream.shape != cache.out_shape:
+        raise ShapeError(f"upstream shape {upstream.shape} != forward output {cache.out_shape}")
+    up = upstream if cache.relu_mask is None else upstream * cache.relu_mask
+    x = cache.x
     s, t = bank.extent
     om, on = up.shape[1], up.shape[2]
-    w = bank.weights.astype(xb.dtype, copy=False)
+    w = bank.weights.astype(x.dtype, copy=False)
 
     grad_b = up.sum(axis=(0, 1, 2))
     grad_w = np.zeros_like(w)
-    grad_x = np.zeros_like(xb) if need_input_grad else None
+    grad_x = np.zeros_like(x) if need_input_grad else None
     c_in = bank.in_channels
     up_flat = up.reshape(-1, bank.num_filters)
     for a in range(s):
         for b in range(t):
-            window = xb[:, a : a + om, b : b + on, :].reshape(-1, c_in)
+            window = x[:, a : a + om, b : b + on, :].reshape(-1, c_in)
             grad_w[:, a, b, :] = up_flat.T @ window
             if grad_x is not None:
                 grad_x[:, a : a + om, b : b + on, :] += (up_flat @ w[:, a, b, :]).reshape(
-                    xb.shape[0], om, on, c_in
+                    x.shape[0], om, on, c_in
                 )
-    if grad_x is not None and not batched:
-        grad_x = grad_x[0]
     return grad_x, grad_w, grad_b
 
 
@@ -197,14 +185,6 @@ class PoolCache:
     in_shape: tuple[int, ...]
     axis_index: int
     take_first: np.ndarray  # True where the earlier element won (ties included)
-
-
-def _pool_axis(x: np.ndarray, axis: str) -> int:
-    if axis == HORIZONTAL:
-        return x.ndim - 2
-    if axis == VERTICAL:
-        return x.ndim - 3
-    raise ValueError(f"pooling axis must be {HORIZONTAL!r} or {VERTICAL!r}")
 
 
 def _pair_halves(x: np.ndarray, ax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,36 +203,35 @@ def maxpool_forward(x: np.ndarray, axis: str) -> tuple[np.ndarray, PoolCache]:
     The pooled length is floor(len / 2); an odd trailing element is dropped.
     Ties prefer the earlier index (recorded for the backward pass).
     """
-    _check_float(x, "pool input")
-    xb, batched = _batched(x, 3)
-    ax = _pool_axis(xb, axis)
-    length = xb.shape[ax]
+    _check_batch(x, 4, "pool input")
+    if axis not in (HORIZONTAL, VERTICAL):
+        raise ValueError(f"pooling axis must be {HORIZONTAL!r} or {VERTICAL!r}")
+    ax = 2 if axis == HORIZONTAL else 1
+    length = x.shape[ax]
     if length < 2:
         raise ShapeError(f"cannot pool a dimension of length {length}")
-    first, second = _pair_halves(xb, ax)
+    first, second = _pair_halves(x, ax)
     take_first = first >= second
     out = np.maximum(first, second)
-    cache = PoolCache(in_shape=xb.shape, axis_index=ax, take_first=take_first)
-    return (out if batched else out[0]), cache
+    return out, PoolCache(in_shape=x.shape, axis_index=ax, take_first=take_first)
 
 
 def maxpool_backward(cache: PoolCache, upstream: np.ndarray) -> np.ndarray:
     """Route upstream values to their argmax positions; dropped tails get 0."""
-    up, batched = _batched(upstream, 3)
-    if up.shape != cache.take_first.shape:
+    if upstream.shape != cache.take_first.shape:
         raise ShapeError(
-            f"upstream shape {up.shape} != pooled shape {cache.take_first.shape}"
+            f"upstream shape {upstream.shape} != pooled shape {cache.take_first.shape}"
         )
     ax = cache.axis_index
-    grad = np.empty(cache.in_shape, dtype=up.dtype)
+    grad = np.empty(cache.in_shape, dtype=upstream.dtype)
     if cache.in_shape[ax] % 2:
         grad[(slice(None),) * ax + (-1,)] = 0
     first, second = _pair_halves(grad, ax)
-    # up - up * take_first is exactly up where the second element won and 0
-    # where the first did.
-    np.multiply(up, cache.take_first, out=first)
-    np.subtract(up, first, out=second)
-    return grad if batched else grad[0]
+    # upstream - upstream * take_first is exactly upstream where the second
+    # element won and 0 where the first did.
+    np.multiply(upstream, cache.take_first, out=first)
+    np.subtract(upstream, first, out=second)
+    return grad
 
 
 # --------------------------------------------------------------------------
@@ -268,35 +247,32 @@ class DenseCache:
 def dense_forward(
     x: np.ndarray, layer: DenseLayer, activation: str = "relu"
 ) -> tuple[np.ndarray, DenseCache]:
-    """out = act(W x + b) for a vector or a batch of vectors."""
+    """out = act(x W^T + b) for a batch of vectors x, shaped (B, in)."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    _check_float(x, "dense input")
-    xb, batched = _batched(x, 1)
+    _check_batch(x, 2, "dense input")
     out_dim, in_dim = layer.weights.shape
-    if xb.shape[1] != in_dim:
-        raise ShapeError(f"dense input length {xb.shape[1]} != layer input {in_dim}")
-    w = layer.weights.astype(xb.dtype, copy=False)
-    out = xb @ w.T + layer.biases.astype(xb.dtype, copy=False)
+    if x.shape[1] != in_dim:
+        raise ShapeError(f"dense input length {x.shape[1]} != layer input {in_dim}")
+    w = layer.weights.astype(x.dtype, copy=False)
+    out = x @ w.T + layer.biases.astype(x.dtype, copy=False)
     mask = None
     if activation == "relu":
         mask = out > 0
         np.maximum(out, 0, out=out)
-    return (out if batched else out[0]), DenseCache(x=xb, relu_mask=mask)
+    return out, DenseCache(x=x, relu_mask=mask)
 
 
 def dense_backward(
     layer: DenseLayer, cache: DenseCache, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    up, batched = _batched(upstream, 1)
-    if up.shape != (cache.x.shape[0], layer.weights.shape[0]):
+    if upstream.shape != (cache.x.shape[0], layer.weights.shape[0]):
         raise ShapeError("upstream shape inconsistent with the forward call")
-    if cache.relu_mask is not None:
-        up = up * cache.relu_mask
+    up = upstream if cache.relu_mask is None else upstream * cache.relu_mask
     grad_w = up.T @ cache.x
     grad_b = up.sum(axis=0)
     grad_x = up @ layer.weights.astype(up.dtype, copy=False)
-    return (grad_x if batched else grad_x[0]), grad_w, grad_b
+    return grad_x, grad_w, grad_b
 
 
 # --------------------------------------------------------------------------
@@ -346,23 +322,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
 # --------------------------------------------------------------------------
 
 def dropout(
-    x: np.ndarray,
-    rate: float,
-    mode: str,
-    rng: np.random.Generator | None = None,
+    x: np.ndarray, rate: float, rng: np.random.Generator | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero each element with probability *rate*, scaling survivors by
     1/(1-rate).  Returns (y, scale_mask); multiplying an upstream gradient
-    by the mask is the exact backward pass.  Eval mode is the identity.
+    by the mask is the exact backward pass.  With no rng (eval) it is the
+    identity.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x, np.ones_like(x)
-    if rng is None:
-        raise ValueError("train-mode dropout requires an explicit rng")
     keep = rng.random(x.shape) >= rate
     scale = keep.astype(x.dtype) / x.dtype.type(1.0 - rate)
     return x * scale, scale
@@ -422,13 +392,3 @@ def adam_step(
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-
-def flatten_rows(x: np.ndarray) -> np.ndarray:
-    """Flatten a feature map row-major over (row, channel): row 0's channels
-    first, then row 1's, and so on.  Column extent must already be 1."""
-    xb, batched = _batched(x, 3)
-    if xb.shape[2] != 1:
-        raise ShapeError(f"flatten expects column extent 1, got {xb.shape[2]}")
-    out = xb.reshape(xb.shape[0], -1)
-    return out if batched else out[0]

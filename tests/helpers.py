@@ -474,7 +474,7 @@ def network_margins(net: Model, x: np.ndarray) -> float:
             if live.any():
                 smallest = min(smallest, float(np.abs(a - b)[live].min()))
             y, _ = nn.maxpool_forward(y, axis)
-    flat = nn.flatten_rows(y)
+    flat = y.reshape(len(y), -1)
     for layer in (net.fc1, net.fc2):
         z, _ = nn.dense_forward(flat, layer, "identity")
         smallest = min(smallest, float(np.abs(z).min()))
@@ -502,7 +502,7 @@ def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn") 
     else:
         raise AssertionError("no tie-free instance found")
 
-    logits, caches = net64._forward_with_caches(x, "eval", None)
+    logits, caches = net64._forward_with_caches(x, None)
     _, grad_logits = nn.softmax_cross_entropy(logits, labels)
     grads = net64._backward(caches, grad_logits)
     blocks = net64.param_blocks()

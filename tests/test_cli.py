@@ -222,6 +222,32 @@ class TestTrain:
         assert "--val-frac" in err and "not found" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_dim_below_one_exits_2(self, tmp_path, capsys, value):
+        # The inputs do not exist: the flag is rejected before any is read.
+        code, _, err = run_cli([
+            "train", "--input", str(tmp_path / "absent.csv"),
+            "--embeddings", str(tmp_path / "absent.txt"),
+            "--out-dir", str(tmp_path / "never"), f"--dim={value}",
+        ], capsys)
+        assert code == 2
+        assert "--dim" in err and "not found" not in err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+    def test_out_dir_on_a_regular_file_exits_2(self, tmp_path, capsys, under):
+        # Rejected before the (absent) inputs are read, not after training.
+        blocker = tmp_path / "taken"
+        blocker.write_text("earlier\n", encoding="utf-8")
+        code, out, err = run_cli([
+            "train", "--input", str(tmp_path / "absent.csv"),
+            "--embeddings", str(tmp_path / "absent.txt"),
+            "--out-dir", str(blocker / under), "--epochs", "1",
+        ], capsys)
+        assert code == 2
+        assert "--out-dir" in err and "not found" not in err and not out
+        assert blocker.read_text(encoding="utf-8") == "earlier\n"
+
     def test_val_frac_zero_disables_split(self, synth_train_csv, synth_embeddings, tmp_path,
                                           capsys):
         out_dir = tmp_path / "run"
@@ -350,6 +376,19 @@ class TestRerun:
         assert code == 2
         assert "oov_seed" in err and str(stats_manifest) in err and not out
         assert Path(recorded["outputs"][0]).read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("recorded", [
+        [],
+        {"command": "stats", "input_digests": {}, "args": [1]},
+        {"command": "stats", "input_digests": {}, "args": {"command": "stats", "threads": 1}},
+    ], ids=["list", "args_list", "args_missing_options"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, recorded):
+        manifest = tmp_path / "stats.manifest.json"
+        manifest.write_text(json.dumps(recorded))
+        code, out, err = run_cli(["rerun", str(manifest)], capsys)
+        assert code == 2
+        assert str(manifest) in err and not out
+        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
 
     def test_oov_seed_zero_replays(self, trained, tmp_path, capsys):
         # Manifests written while the seed flag existed record its default, 0.
@@ -572,7 +611,8 @@ class TestThreadFlag:
         manifest = tmp_path / "stats.manifest.json"
         manifest.write_text(json.dumps({
             "command": "stats", "input_digests": {},
-            "args": {"command": "stats", "threads": 2},
+            "args": {"command": "stats", "input": "x.csv", "ts": 46, "out": None,
+                     "schema": None, "strict": False, "pretty": False, "threads": 2},
         }))
         seen = []
         monkeypatch.setitem(cli._SUBCOMMANDS, "stats",

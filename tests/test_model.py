@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -137,6 +141,12 @@ class TestBuildModel:
         ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
     ])
     def test_impossible_training_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(variant="slcnn", doc_len=4, num_classes=4, **{field: value})
+
+    @pytest.mark.parametrize("field", ["embed_dim", "num_filters", "fc_size"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_empty_layer_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ModelConfig(variant="slcnn", doc_len=4, num_classes=4, **{field: value})
 
@@ -386,6 +396,20 @@ class TestCheckpoint:
         bad.write_bytes(raw[: len(raw) - 257])
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("field", ["embed_dim", "num_filters", "fc_size"])
+    def test_config_blob_with_empty_layer_rejected(self, tmp_path, field):
+        path = tmp_path / "m.slcnn"
+        save_checkpoint(build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3)), path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[6:10])
+        config = json.loads(raw[10 : 10 + blob_len])
+        config[field] = 0
+        blob = json.dumps(config).encode()
+        body = raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + blob_len : -4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
 
     def test_corrupt_byte_fails_checksum(self, tmp_path):
         net = self._trained_model()

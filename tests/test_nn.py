@@ -27,13 +27,13 @@ class TestConvForward:
     def test_hand_sum_identity(self):
         x = np.array([1.0, 2.0, 3.0], F32).reshape(1, 3, 1)
         bank = _bank(np.array([1.0, 1.0]).reshape(1, 1, 2, 1))
-        y, _ = nn.conv2d_forward(x, bank, "identity")
+        y, _ = nn.conv2d_forward(x[None], bank, "identity")
         assert y.ravel().tolist() == [3.0, 5.0]
 
     def test_hand_sum_relu_with_bias(self):
         x = np.array([1.0, 2.0, 3.0], F32).reshape(1, 3, 1)
         bank = _bank(np.array([1.0, 1.0]).reshape(1, 1, 2, 1), b=[-4.0])
-        y, _ = nn.conv2d_forward(x, bank, "relu")
+        y, _ = nn.conv2d_forward(x[None], bank, "relu")
         assert y.ravel().tolist() == [0.0, 1.0]
 
     def test_matches_naive_loop_oracle_at_model_scale(self):
@@ -41,8 +41,8 @@ class TestConvForward:
         x = rng.normal(size=(4, 46, 100)).astype(F32)
         w = (rng.normal(size=(128, 1, 2, 100)) * 0.1).astype(F32)
         b = (rng.normal(size=128) * 0.1).astype(F32)
-        got, _ = nn.conv2d_forward(x, _bank(w, b), "relu")
-        want = naive_conv2d(x, w, b, relu=True)
+        got, _ = nn.conv2d_forward(x[None], _bank(w, b), "relu")
+        want = naive_conv2d(x, w, b, relu=True)[None]
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("s,t", [(1, 2), (2, 1), (1, 1), (2, 2)])
@@ -52,8 +52,8 @@ class TestConvForward:
         w = rng.normal(size=(4, s, t, 2)).astype(F32)
         b = rng.normal(size=4).astype(F32)
         for relu in (False, True):
-            got, _ = nn.conv2d_forward(x, _bank(w, b), "relu" if relu else "identity")
-            np.testing.assert_allclose(got, naive_conv2d(x, w, b, relu), rtol=1e-5, atol=1e-6)
+            got, _ = nn.conv2d_forward(x[None], _bank(w, b), "relu" if relu else "identity")
+            np.testing.assert_allclose(got[0], naive_conv2d(x, w, b, relu), rtol=1e-5, atol=1e-6)
 
     def test_linearity_alpha_two_is_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -70,25 +70,25 @@ class TestConvForward:
                 for s, t in ((1, 2), (2, 1), (1, 1), (2, 2)):
                     if m < s or n < t:
                         continue
-                    x = rng.normal(size=(m, n, 3)).astype(F32)
+                    x = rng.normal(size=(1, m, n, 3)).astype(F32)
                     bank = _bank(rng.normal(size=(2, s, t, 3)).astype(F32))
                     y, _ = nn.conv2d_forward(x, bank, "identity")
-                    assert y.shape == (m - s + 1, n - t + 1, 2)
+                    assert y.shape == (1, m - s + 1, n - t + 1, 2)
 
     def test_relu_nonnegative(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 5, 2)).astype(F32)
+        x = rng.normal(size=(1, 3, 5, 2)).astype(F32)
         bank = _bank(rng.normal(size=(4, 1, 2, 2)).astype(F32))
         y, _ = nn.conv2d_forward(x, bank, "relu")
         assert (y >= 0).all()
 
     def test_shape_mismatch_raises(self):
-        x = np.zeros((2, 3, 5), F32)
+        x = np.zeros((1, 2, 3, 5), F32)
         bank = _bank(np.zeros((2, 1, 2, 4), F32))
-        with pytest.raises(nn.ShapeError):
+        with pytest.raises(nn.ShapeError, match="channels"):
             nn.conv2d_forward(x, bank)
-        with pytest.raises(nn.ShapeError):
-            nn.conv2d_forward(np.zeros((1, 1, 4), F32), _bank(np.zeros((2, 1, 2, 4), F32)))
+        with pytest.raises(nn.ShapeError, match="smaller than filter"):
+            nn.conv2d_forward(np.zeros((1, 1, 1, 4), F32), _bank(np.zeros((2, 1, 2, 4), F32)))
 
 
 # --------------------------------------------------------------------------
@@ -107,7 +107,7 @@ class TestConvBackwardTrivial:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 4, 2)).astype(F32)
         bank = _bank(np.zeros((1, 1, 2, 2), F32))
-        y, cache = nn.conv2d_forward(x, bank, "identity")
+        y, cache = nn.conv2d_forward(x[None], bank, "identity")
         _, gw, gb = nn.conv2d_backward(bank, cache, np.ones_like(y))
         # grad_w[0, 0, b, ch] = sum_j x[0, j+b, ch]
         for b_off in range(2):
@@ -117,7 +117,7 @@ class TestConvBackwardTrivial:
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 5, 2)).astype(F32)
+        x = rng.normal(size=(1, 3, 5, 2)).astype(F32)
         bank = _bank(rng.normal(size=(2, 1, 2, 2)).astype(F32))
         y, cache = nn.conv2d_forward(x, bank, "relu")
         gx, gw, gb = nn.conv2d_backward(bank, cache, np.zeros_like(y))
@@ -137,11 +137,11 @@ class TestConvBackwardTrivial:
         assert np.array_equal(gb_only, gb)
 
     def test_upstream_shape_mismatch(self):
-        x = np.zeros((3, 5, 2), F32)
+        x = np.zeros((1, 3, 5, 2), F32)
         bank = _bank(np.zeros((2, 1, 2, 2), F32))
         _, cache = nn.conv2d_forward(x, bank)
         with pytest.raises(nn.ShapeError):
-            nn.conv2d_backward(bank, cache, np.zeros((3, 3, 2), F32))
+            nn.conv2d_backward(bank, cache, np.zeros((1, 3, 3, 2), F32))
 
 
 # --------------------------------------------------------------------------
@@ -150,17 +150,17 @@ class TestConvBackwardTrivial:
 
 class TestMaxPool:
     def test_horizontal_example(self):
-        x = np.array([3.0, 1.0, 4.0, 1.0], F32).reshape(1, 4, 1)
+        x = np.array([3.0, 1.0, 4.0, 1.0], F32).reshape(1, 1, 4, 1)
         y, _ = nn.maxpool_forward(x, "horizontal")
         assert y.ravel().tolist() == [3.0, 4.0]
 
     def test_odd_trailing_dropped(self):
-        x = np.array([5.0, 2.0, 7.0], F32).reshape(1, 3, 1)
+        x = np.array([5.0, 2.0, 7.0], F32).reshape(1, 1, 3, 1)
         y, _ = nn.maxpool_forward(x, "horizontal")
         assert y.ravel().tolist() == [5.0]
 
     def test_vertical_example(self):
-        x = np.array([1.0, 9.0], F32).reshape(2, 1, 1)
+        x = np.array([1.0, 9.0], F32).reshape(1, 2, 1, 1)
         y, _ = nn.maxpool_forward(x, "vertical")
         assert y.ravel().tolist() == [9.0]
 
@@ -172,43 +172,43 @@ class TestMaxPool:
             for axis in ("horizontal", "vertical"):
                 if (n if axis == "horizontal" else m) < 2:
                     continue
-                y, _ = nn.maxpool_forward(x, axis)
-                assert np.array_equal(y, naive_maxpool(x, axis))
+                y, _ = nn.maxpool_forward(x[None], axis)
+                assert np.array_equal(y[0], naive_maxpool(x, axis))
 
     def test_backward_routes_to_argmax(self):
-        x = np.array([3.0, 1.0, 4.0, 1.0], F32).reshape(1, 4, 1)
+        x = np.array([3.0, 1.0, 4.0, 1.0], F32).reshape(1, 1, 4, 1)
         _, cache = nn.maxpool_forward(x, "horizontal")
-        grad = nn.maxpool_backward(cache, np.array([1.0, 1.0], F32).reshape(1, 2, 1))
+        grad = nn.maxpool_backward(cache, np.array([1.0, 1.0], F32).reshape(1, 1, 2, 1))
         assert grad.ravel().tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_tie_breaks_to_earlier_index(self):
-        x = np.array([2.0, 2.0], F32).reshape(1, 2, 1)
+        x = np.array([2.0, 2.0], F32).reshape(1, 1, 2, 1)
         _, cache = nn.maxpool_forward(x, "horizontal")
-        grad = nn.maxpool_backward(cache, np.array([1.0], F32).reshape(1, 1, 1))
+        grad = nn.maxpool_backward(cache, np.array([1.0], F32).reshape(1, 1, 1, 1))
         assert grad.ravel().tolist() == [1.0, 0.0]
 
     def test_dropped_tail_gets_zero_gradient(self):
-        x = np.array([5.0, 2.0, 7.0], F32).reshape(1, 3, 1)
+        x = np.array([5.0, 2.0, 7.0], F32).reshape(1, 1, 3, 1)
         _, cache = nn.maxpool_forward(x, "horizontal")
-        grad = nn.maxpool_backward(cache, np.array([[1.0]], F32).reshape(1, 1, 1))
+        grad = nn.maxpool_backward(cache, np.array([1.0], F32).reshape(1, 1, 1, 1))
         assert grad.ravel().tolist() == [1.0, 0.0, 0.0]
 
     def test_too_short_axis_raises(self):
         with pytest.raises(nn.ShapeError):
-            nn.maxpool_forward(np.zeros((1, 1, 1), F32), "horizontal")
+            nn.maxpool_forward(np.zeros((1, 1, 1, 1), F32), "horizontal")
 
     def test_record_upstream_mismatch_raises(self):
-        x = np.zeros((2, 4, 1), F32)
+        x = np.zeros((1, 2, 4, 1), F32)
         _, cache = nn.maxpool_forward(x, "horizontal")
         with pytest.raises(nn.ShapeError):
-            nn.maxpool_backward(cache, np.zeros((2, 3, 1), F32))
+            nn.maxpool_backward(cache, np.zeros((1, 2, 3, 1), F32))
 
     def test_shape_halving_law(self):
         rng = np.random.default_rng(7)
         for n in range(2, 10):
-            x = rng.normal(size=(3, n, 2)).astype(F32)
+            x = rng.normal(size=(1, 3, n, 2)).astype(F32)
             y, _ = nn.maxpool_forward(x, "horizontal")
-            assert y.shape == (3, n // 2, 2)
+            assert y.shape == (1, 3, n // 2, 2)
 
     def test_backward_finite_differences_away_from_ties(self):
         result = helpers.fd_sweep_pool(100)
@@ -223,23 +223,35 @@ class TestMaxPool:
 class TestDense:
     def test_identity_weights_relu(self):
         layer = nn.DenseLayer(np.eye(2, dtype=F32), np.zeros(2, F32))
-        y, _ = nn.dense_forward(np.array([-1.0, 2.0], F32), layer, "relu")
-        assert y.tolist() == [0.0, 2.0]
+        y, _ = nn.dense_forward(np.array([[-1.0, 2.0]], F32), layer, "relu")
+        assert y.tolist() == [[0.0, 2.0]]
 
     def test_hand_affine(self):
         layer = nn.DenseLayer(np.array([[1.0, 1.0]], F32), np.array([0.5], F32))
-        y, _ = nn.dense_forward(np.array([1.0, 2.0], F32), layer, "identity")
-        assert y.tolist() == [3.5]
+        y, _ = nn.dense_forward(np.array([[1.0, 2.0]], F32), layer, "identity")
+        assert y.tolist() == [[3.5]]
 
     def test_length_mismatch(self):
         layer = nn.DenseLayer(np.zeros((2, 3), F32), np.zeros(2, F32))
         with pytest.raises(nn.ShapeError):
-            nn.dense_forward(np.zeros(4, F32), layer)
+            nn.dense_forward(np.zeros((1, 4), F32), layer)
 
     def test_backward_finite_differences(self):
         result = helpers.fd_sweep_dense(100)
         assert result["worst64"] < 1e-6
         assert result["worst32"] < 1e-3
+
+
+def test_rank_contract():
+    # Ops take batches only: one unbatched map or vector is a rank error.
+    bank = _bank(np.zeros((2, 1, 2, 3), F32))
+    with pytest.raises(nn.ShapeError, match="rank-4"):
+        nn.conv2d_forward(np.zeros((2, 5, 3), F32), bank)
+    with pytest.raises(nn.ShapeError, match="rank-4"):
+        nn.maxpool_forward(np.zeros((2, 4, 3), F32), "horizontal")
+    layer = nn.DenseLayer(np.zeros((2, 3), F32), np.zeros(2, F32))
+    with pytest.raises(nn.ShapeError, match="rank-2"):
+        nn.dense_forward(np.zeros(3, F32), layer)
 
 
 # --------------------------------------------------------------------------
@@ -324,20 +336,20 @@ class TestSoftmaxCrossEntropy:
 class TestDropout:
     def test_eval_mode_identity(self):
         x = np.arange(12, dtype=F32).reshape(3, 4)
-        y, mask = nn.dropout(x, 0.5, "eval")
+        y, mask = nn.dropout(x, 0.5, None)
         assert np.array_equal(y, x)
         assert np.array_equal(mask, np.ones_like(x))
 
     def test_rate_zero(self):
         x = np.ones((4, 4), F32)
-        y, mask = nn.dropout(x, 0.0, "train", np.random.default_rng(0))
+        y, mask = nn.dropout(x, 0.0, np.random.default_rng(0))
         assert np.array_equal(y, x)
         assert np.array_equal(mask, np.ones_like(x))
 
     def test_statistical_keep_rate_and_scaling(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(0.5, 1.5, size=1_000_000).astype(F32)
-        y, mask = nn.dropout(x, 0.5, "train", np.random.default_rng(12))
+        y, mask = nn.dropout(x, 0.5, np.random.default_rng(12))
         keep_fraction = float((mask > 0).mean())
         assert abs(keep_fraction - 0.5) < 0.002
         assert abs(float(y.mean()) - float(x.mean())) / float(x.mean()) < 0.01
@@ -345,13 +357,13 @@ class TestDropout:
     def test_mask_is_exact_multiplier(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(50, 50)).astype(F32)
-        y, mask = nn.dropout(x, 0.3, "train", np.random.default_rng(14))
+        y, mask = nn.dropout(x, 0.3, np.random.default_rng(14))
         assert np.array_equal(y, x * mask)
         assert set(np.unique(mask)).issubset({F32(0.0), F32(1.0 / 0.7)})
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
-            nn.dropout(np.zeros(3, F32), 1.0, "train", np.random.default_rng(0))
+            nn.dropout(np.zeros(3, F32), 1.0, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------------------
