@@ -1,13 +1,16 @@
 """Command-line pipeline: stats, train, eval, predict, rerun.
 
 JSON goes to stdout, logs to stderr.  Exit codes are a stable contract:
-0 success, 1 runtime failure, 2 usage or configuration error.  Every
-artifact-producing command writes a run manifest capturing all resolved
-values that affect results and the sha256 of every input;
-``slcnn rerun manifest.json`` replays it, after checking that every input
-still has that digest.  Artifacts (checkpoints, report, manifest, ``--out``
-files) are written to a temp file and renamed into place, so a failed write
-never leaves a truncated file.
+0 success, 1 runtime failure, 2 usage or configuration error.  ``train``,
+and ``stats``/``eval`` with ``--out``, write a run manifest: the exact argv
+the command was parsed from, the sha256 of every input and the resolved
+values (``args``, a record only).  ``predict`` writes none; its text may
+come from stdin, which a manifest cannot replay.  ``slcnn rerun
+manifest.json`` checks every input digest, then parses the recorded argv
+again (plus any ``--out-dir``), so every command-line rule holds for a
+replay; a manifest without an argv (schema 1) is refused.  Artifacts are
+written to a temp file and renamed into place, so a failed write never
+leaves a truncated file.
 
 ``eval`` and ``predict`` take every model setting (grid shape, embedding
 width, classes) from the checkpoint, and no flag of theirs can contradict
@@ -19,8 +22,7 @@ the same grid-dataset path as ``eval``.
 numpy (and its BLAS) is imported only after the ``--threads`` flag is
 applied to the thread-count environment variables, because the default of
 one BLAS thread is part of the determinism contract.  The flag (or its
-default) overrides any inherited value; ``rerun`` uses the count recorded
-in its manifest, which must be a positive integer.
+default) overrides any inherited value; ``rerun`` uses the recorded one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import hashlib
 import json
 import logging
 import os
+import shlex
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,24 +41,12 @@ from . import __version__
 
 log = logging.getLogger("slcnn")
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 
 def _apply_thread_flag(args: argparse.Namespace) -> None:
-    threads = getattr(args, "threads", 1)
-    if args.command == "rerun":
-        try:  # cmd_rerun reports an unreadable manifest
-            manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-            threads = manifest["args"]["threads"]
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        # The --threads rule (a JSON integer >= 1, not a bool) and its exit code.
-        if type(threads) is not int or threads < 1:
-            print(f"error: {args.manifest}: recorded thread count {threads!r} is not a "
-                  "positive integer", file=sys.stderr)
-            raise SystemExit(2)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
+        os.environ[var] = str(args.threads)
 
 
 def _positive_int(value: str) -> int:
@@ -102,15 +93,16 @@ def _emit(payload: dict, pretty: bool, out: str | None) -> None:
     print(text)
 
 
-def _write_manifest(command: str, args: argparse.Namespace, digests: dict[str, str],
+def _write_manifest(args: argparse.Namespace, digests: dict[str, str],
                     outputs: list[str], path: Path) -> None:
-    resolved = {k: v for k, v in vars(args).items() if k not in ("handler", "from_rerun")}
+    resolved = {k: v for k, v in vars(args).items() if k not in ("handler", "argv")}
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool": "slcnn",
         "tool_version": __version__,
-        "command": command,
+        "command": args.command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "argv": args.argv,
         "args": resolved,
         "input_digests": digests,
         "outputs": outputs,
@@ -137,7 +129,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     payload = {"schema_version": 1, **stats.__dict__}
     _emit(payload, args.pretty, args.out)
     if args.out:
-        _write_manifest("stats", args, {str(path): _sha256(path)}, [args.out],
+        _write_manifest(args, {str(path): _sha256(path)}, [args.out],
                         Path(args.out).with_suffix(".manifest.json"))
     return 0
 
@@ -270,7 +262,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     outputs.append(str(report_path))
 
     digests = {str(p): _sha256(p) for p in (train_path, emb_path, test_path, val_path) if p}
-    _write_manifest("train", args, digests, outputs, out_dir / "manifest.json")
+    _write_manifest(args, digests, outputs, out_dir / "manifest.json")
 
     summary = {
         "schema_version": 1,
@@ -313,7 +305,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _emit(payload, args.pretty, args.out)
     if args.out:
         digests = {str(p): _sha256(p) for p in (ckpt_path, data_path, emb_path)}
-        _write_manifest("eval", args, digests, [args.out],
+        _write_manifest(args, digests, [args.out],
                         Path(args.out).with_suffix(".manifest.json"))
     return 0
 
@@ -342,42 +334,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rerun(args: argparse.Namespace) -> int:
+def _replay_argv(args: argparse.Namespace) -> list[str]:
+    """The manifest's argv (plus any ``--out-dir``) once its inputs match their digests."""
     manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("args"), dict)
-            and isinstance(manifest.get("input_digests"), dict)):
-        raise ValueError(f"{args.manifest}: not a run manifest (an object whose "
-                         "args and input_digests are objects)")
-    command = manifest.get("command")
-    if not isinstance(command, str) or command not in _SUBCOMMANDS:
-        raise ValueError(f"{args.manifest}: names unknown command {command!r}")
-    missing = sorted(_command_options(command) - manifest["args"].keys())
-    if missing:
-        raise ValueError(f"{args.manifest}: args lack {', '.join(missing)}, "
-                         f"which {command!r} reads")
-    if args.out_dir is not None and command != "train":
-        raise ValueError(f"--out-dir applies to a train manifest; {args.manifest} "
-                         f"records {command!r}")
-    # The OOV draw used to take a seed flag; only its default, 0, gives today's draw.
-    if manifest["args"].get("oov_seed", 0) != 0:
-        raise ValueError(f"{args.manifest}: a non-zero oov_seed can no longer be reproduced")
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("input_digests"), dict)):
+        raise ValueError(f"{args.manifest}: not a run manifest (input_digests is no object)")
+    argv = manifest.get("argv")
+    if argv is None:
+        raise ValueError(f"{args.manifest}: records no argv; schema-1 manifests cannot be replayed")
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise ValueError(f"{args.manifest}: argv is not a list of strings")
+    if argv[:1] == ["rerun"]:
+        raise ValueError(f"{args.manifest}: records a rerun, which would replay itself")
     for name, digest in manifest["input_digests"].items():
         path = Path(name)
         if not path.is_file():
             raise FileNotFoundError(f"input named in the manifest is missing: {name}")
         if _sha256(path) != digest:
             raise ValueError(f"input changed since the manifest was written: {name}")
-    replay = argparse.Namespace(**manifest["args"])
-    if args.out_dir is not None:
-        replay.out_dir = args.out_dir
-    log.info("re-running %r from %s", command, args.manifest)
-    return _SUBCOMMANDS[command](replay)
-
-
-def _command_options(command: str) -> set[str]:
-    """The option names *command*'s parser defines: every field its handler reads."""
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-    return {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+    return argv + ["--out-dir", args.out_dir] if args.out_dir is not None else argv
 
 
 # --------------------------------------------------------------------------
@@ -456,21 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerun", help="replay a command from its run manifest")
     p.add_argument("manifest")
     p.add_argument("--out-dir", help="redirect a train manifest's outputs")
-    p.set_defaults(handler=cmd_rerun)
 
     return parser
 
 
-_SUBCOMMANDS = {
-    "stats": cmd_stats,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
+    if args.command == "rerun":
+        try:
+            argv = _replay_argv(args)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, (FileNotFoundError, ValueError)) else 1
+        # Attributes a usage error in the recorded argv to the manifest.
+        print(f"replaying {args.manifest}: slcnn {shlex.join(argv)}", file=sys.stderr)
+        args = build_parser().parse_args(argv)
+    args.argv = argv
     _apply_thread_flag(args)
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"

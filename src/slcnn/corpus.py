@@ -74,7 +74,6 @@ def load_dataset(
     schema: Sequence[str] | None = None,
     *,
     strict: bool = False,
-    errors: list[tuple[int, str]] | None = None,
 ) -> Iterator[RawDocument]:
     """Stream RawDocuments from a CSV or JSONL dataset file.
 
@@ -84,8 +83,8 @@ def load_dataset(
     Class indices are shifted to 0-based.  Literal ``\\n`` escapes inside
     fields become spaces.
 
-    Malformed rows are skipped with a warning (collected into *errors* as
-    ``(line_number, message)`` when given); ``strict=True`` aborts instead.
+    Malformed rows are skipped with a ``path:line: message (row skipped)``
+    warning; ``strict=True`` aborts instead.
     """
     path = Path(path)
     if not path.is_file():
@@ -94,8 +93,6 @@ def load_dataset(
     def bad_row(line_no: int, message: str) -> None:
         if strict:
             raise DatasetFormatError(f"{path}:{line_no}: {message}")
-        if errors is not None:
-            errors.append((line_no, message))
         log.warning("%s:%d: %s (row skipped)", path, line_no, message)
 
     if path.suffix.lower() in (".jsonl", ".ndjson"):

@@ -609,6 +609,8 @@ def load_checkpoint(path: str | Path) -> Model:
             raise CheckpointError(f"block {name}: stored shape {shape} != expected {arr.shape}")
         count = int(np.prod(shape)) if shape else 1
         arr[...] = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"block {name}: non-finite values in checkpoint {path}")
     if len(view):
         raise CheckpointError(f"trailing bytes in checkpoint: {path}")
     return model

@@ -311,6 +311,19 @@ class TestTrain:
         assert (tmp_path / "replay" / "model.slcnn").read_bytes() == \
                (trained / "model.slcnn").read_bytes()
 
+    def test_rerun_of_a_rerun_reproduces_checkpoint(self, trained, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["rerun", str(trained / "manifest.json"), "--out-dir", str(tmp_path / "a")], capsys
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            ["rerun", str(tmp_path / "a" / "manifest.json"), "--out-dir", str(tmp_path / "b")],
+            capsys,
+        )
+        assert code == 0
+        assert (tmp_path / "b" / "model.slcnn").read_bytes() == \
+               (trained / "model.slcnn").read_bytes()
+
     def test_rerun_rejects_changed_input(self, synth_train_csv, synth_embeddings, tmp_path,
                                          capsys):
         train_csv = tmp_path / "train.csv"
@@ -370,18 +383,37 @@ class TestRerun:
 
     def test_nonzero_oov_seed_cannot_replay(self, stats_manifest, capsys):
         recorded = json.loads(stats_manifest.read_text())
-        recorded["args"]["oov_seed"] = 7
+        recorded["argv"].append("--oov-seed=7")
         stats_manifest.write_text(json.dumps(recorded))
         code, out, err = run_cli(["rerun", str(stats_manifest)], capsys)
         assert code == 2
-        assert "oov_seed" in err and str(stats_manifest) in err and not out
+        assert "--oov-seed" in err and str(stats_manifest) in err and not out
         assert Path(recorded["outputs"][0]).read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("tail", [
+        ["--ts", "abc"], ["--ts", 46], ["--schema", 5], ["--input", 7],
+        ["--strict", "yes"], ["--pretty", 1],
+    ], ids=["ts_abc", "ts_int", "schema_int", "input_int", "strict_yes", "pretty_int"])
+    def test_mistyped_recorded_value_exits_2(self, stats_manifest, capsys, tail):
+        recorded = json.loads(stats_manifest.read_text())
+        recorded["argv"] += tail
+        stats_manifest.write_text(json.dumps(recorded))
+        code, out, err = run_cli(["rerun", str(stats_manifest)], capsys)
+        assert code == 2
+        assert str(stats_manifest) in err and "Traceback" not in err and not out
+        assert Path(recorded["outputs"][0]).read_text() == "earlier\n"
+        assert sorted(p.name for p in stats_manifest.parent.iterdir()) == \
+            ["stats.json", "stats.manifest.json"]
 
     @pytest.mark.parametrize("recorded", [
         [],
         {"command": "stats", "input_digests": {}, "args": [1]},
         {"command": "stats", "input_digests": {}, "args": {"command": "stats", "threads": 1}},
-    ], ids=["list", "args_list", "args_missing_options"])
+        {"input_digests": {}, "argv": "stats --input x.csv"},
+        {"input_digests": [], "argv": ["stats", "--input", "x.csv"]},
+        {"input_digests": {}, "argv": ["rerun", "stats.manifest.json"]},
+    ], ids=["list", "args_list", "args_missing_options", "argv_string", "digests_list",
+            "argv_rerun"])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, recorded):
         manifest = tmp_path / "stats.manifest.json"
         manifest.write_text(json.dumps(recorded))
@@ -390,17 +422,18 @@ class TestRerun:
         assert str(manifest) in err and not out
         assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
 
-    def test_oov_seed_zero_replays(self, trained, tmp_path, capsys):
-        # Manifests written while the seed flag existed record its default, 0.
+    def test_schema_1_manifest_exits_2(self, trained, tmp_path, capsys):
+        # Schema 1 recorded only the resolved args, which rerun no longer reads.
         recorded = json.loads((trained / "manifest.json").read_text())
-        recorded["args"]["oov_seed"] = 0
+        del recorded["argv"]
+        recorded["schema_version"] = 1
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(recorded))
-        code, _, _ = run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "replay")],
-                             capsys)
-        assert code == 0
-        assert (tmp_path / "replay" / "model.slcnn").read_bytes() == \
-               (trained / "model.slcnn").read_bytes()
+        code, out, err = run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "replay")],
+                                 capsys)
+        assert code == 2
+        assert str(manifest) in err and "schema-1" in err and not out
+        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
 
 
 class TestEval:
@@ -610,31 +643,32 @@ class TestThreadFlag:
             monkeypatch.setenv(var, "8")
         manifest = tmp_path / "stats.manifest.json"
         manifest.write_text(json.dumps({
-            "command": "stats", "input_digests": {},
-            "args": {"command": "stats", "input": "x.csv", "ts": 46, "out": None,
-                     "schema": None, "strict": False, "pretty": False, "threads": 2},
+            "input_digests": {}, "argv": ["stats", "--input", "x.csv", "--threads", "2"],
         }))
         seen = []
-        monkeypatch.setitem(cli._SUBCOMMANDS, "stats",
+        monkeypatch.setattr(cli, "cmd_stats",
                             lambda replay: seen.append([os.environ[v] for v in self.VARS]) or 0)
         code, _, _ = run_cli(["rerun", str(manifest)], capsys)
         assert code == 0
         assert seen == [["2", "2", "2"]]
 
-    @pytest.mark.parametrize("threads", [0, -1, "many", True, "2", 2.0])
+    @pytest.mark.parametrize("threads", [
+        "0", "-1", "many", "True", "2.0", 0, True, 2.0, 2,
+    ], ids=["0", "-1", "many", "True", "2.0", "int_0", "bool_True", "float_2.0", "2"])
     def test_rerun_rejects_bad_recorded_count(self, monkeypatch, tmp_path, capsys, threads):
+        # A string is a value --threads rejects; any other JSON value is no argv element.
         for var in self.VARS:
             monkeypatch.setenv(var, "8")
         manifest = tmp_path / "stats.manifest.json"
         manifest.write_text(json.dumps({
-            "command": "stats", "input_digests": {},
-            "args": {"command": "stats", "threads": threads},
+            "input_digests": {}, "argv": ["stats", "--input", "x.csv", "--threads", threads],
         }))
         seen = []
-        monkeypatch.setitem(cli._SUBCOMMANDS, "stats", lambda replay: seen.append(1) or 0)
+        monkeypatch.setattr(cli, "cmd_stats", lambda replay: seen.append(1) or 0)
         code, out, err = run_cli(["rerun", str(manifest)], capsys)
         assert code == 2
-        assert str(manifest) in err and "thread count" in err and not out
+        assert str(manifest) in err and not out
+        assert ("--threads" if isinstance(threads, str) else "list of strings") in err
         assert seen == []
         for var in self.VARS:
             assert os.environ[var] == "8"

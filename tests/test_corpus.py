@@ -32,6 +32,17 @@ from slcnn.corpus import (
 # load_dataset
 # --------------------------------------------------------------------------
 
+def skipped_lines(caplog, path: Path) -> list[int]:
+    """Line numbers of the rows load_dataset warned it skipped in *path*."""
+    prefix = f"{path}:"
+    return [
+        int(r.getMessage()[len(prefix):].split(":", 1)[0])
+        for r in caplog.records
+        if r.levelname == "WARNING" and r.getMessage().startswith(prefix)
+        and r.getMessage().endswith("(row skipped)")
+    ]
+
+
 class TestLoadDataset:
     def test_csv_row_parse(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -49,13 +60,12 @@ class TestLoadDataset:
         (doc,) = load_dataset(path)
         assert doc.fields == ["Line one. Line two."]
 
-    def test_empty_text_is_record_level_error(self, tmp_path):
+    def test_empty_text_is_record_level_error(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
         path.write_text('"1",""\n"2","Real text."\n', encoding="utf-8")
-        errors: list[tuple[int, str]] = []
-        docs = list(load_dataset(path, errors=errors))
+        docs = list(load_dataset(path))
         assert len(docs) == 1 and docs[0].label == 1
-        assert len(errors) == 1 and errors[0][0] == 1
+        assert skipped_lines(caplog, path) == [1]
 
     def test_strict_mode_aborts_with_line_number(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -63,33 +73,30 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=":2:"):
             list(load_dataset(path, strict=True))
 
-    def test_non_positive_class_index_rejected(self, tmp_path):
+    def test_non_positive_class_index_rejected(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
         path.write_text('"0","text."\n', encoding="utf-8")
-        errors: list[tuple[int, str]] = []
-        assert list(load_dataset(path, errors=errors)) == []
-        assert errors
+        assert list(load_dataset(path)) == []
+        assert skipped_lines(caplog, path) == [1]
 
-    def test_schema_arity_check(self, tmp_path):
+    def test_schema_arity_check(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
         path.write_text('"1","title","body"\n"1","only-title"\n', encoding="utf-8")
-        errors: list[tuple[int, str]] = []
-        docs = list(load_dataset(path, schema=["title", "body"], errors=errors))
+        docs = list(load_dataset(path, schema=["title", "body"]))
         assert len(docs) == 1
-        assert errors and errors[0][0] == 2
+        assert skipped_lines(caplog, path) == [2]
 
-    def test_jsonl(self, tmp_path):
+    def test_jsonl(self, tmp_path, caplog):
         path = tmp_path / "d.jsonl"
         path.write_text(
             json.dumps({"label": 2, "text": "Hello there."}) + "\n"
             + json.dumps({"label": 1, "text": ""}) + "\n",
             encoding="utf-8",
         )
-        errors: list[tuple[int, str]] = []
-        docs = list(load_dataset(path, errors=errors))
+        docs = list(load_dataset(path))
         assert len(docs) == 1
         assert docs[0].label == 1 and docs[0].fields == ["Hello there."]
-        assert errors and errors[0][0] == 2
+        assert skipped_lines(caplog, path) == [2]
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="not found"):

@@ -411,6 +411,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        # The CRC is valid: the stored value itself is not a usable parameter.
+        net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3))
+        dict(net.param_blocks())["out.b"][0] = value
+        path = tmp_path / "m.slcnn"
+        save_checkpoint(net, path)
+        with pytest.raises(CheckpointError, match="out.b"):
+            load_checkpoint(path)
+
     def test_corrupt_byte_fails_checksum(self, tmp_path):
         net = self._trained_model()
         path = tmp_path / "m.slcnn"
