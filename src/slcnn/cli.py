@@ -1,7 +1,9 @@
 """Command-line pipeline: stats, train, eval, predict, rerun.
 
 JSON goes to stdout, logs to stderr.  Exit codes are a stable contract:
-0 success, 1 runtime failure, 2 usage or configuration error.  ``train``,
+0 success, 2 a missing input or any ``ValueError`` (a bad flag, setting,
+dataset or embedding file), 1 any other failure (a corrupt checkpoint,
+diverged training, a failed write).  ``train``,
 and ``stats``/``eval`` with ``--out``, write a run manifest: the exact argv
 the command was parsed from, the sha256 of every input and the resolved
 values (``args``, a record only).  ``predict`` writes none; its text may
@@ -248,14 +250,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     outputs.append(str(checkpoint_path))
 
     if net.best_params is not None:
-        final_params = net.param_values()
         net.load_param_values(net.best_params)
         if test_data is not None:
             report.test_accuracy_best_val = m.evaluate(net, test_data)
         best_path = out_dir / "model_best.slcnn"
         m.save_checkpoint(net, best_path)
         outputs.append(str(best_path))
-        net.load_param_values(final_params)
 
     report_path = out_dir / "report.json"
     _write_text(report_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -435,6 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception) -> int:
+    """Report *exc*; a missing input or a bad value is a usage error (2)."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2 if isinstance(exc, (FileNotFoundError, ValueError)) else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
@@ -442,8 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             argv = _replay_argv(args)
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2 if isinstance(exc, (FileNotFoundError, ValueError)) else 1
+            return _fail(exc)
         # Attributes a usage error in the recorded argv to the manifest.
         print(f"replaying {args.manifest}: slcnn {shlex.join(argv)}", file=sys.stderr)
         args = build_parser().parse_args(argv)
@@ -453,25 +458,12 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
 
-    from . import corpus, embedding, model as m
+    from . import model as m
 
-    usage_errors = (
-        FileNotFoundError,
-        corpus.DatasetFormatError,
-        corpus.EmptyCorpusError,
-        embedding.EmbeddingFormatError,
-        m.ConfigError,
-        ValueError,
-        KeyError,
-    )
     try:
         return args.handler(args)
-    except usage_errors as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (m.CheckpointError, m.TrainingDivergedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError, m.CheckpointError, m.TrainingDivergedError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -25,11 +24,11 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-class DatasetFormatError(Exception):
+class DatasetFormatError(ValueError):
     """Raised for unreadable dataset files or, in strict mode, bad rows."""
 
 
-class EmptyCorpusError(Exception):
+class EmptyCorpusError(ValueError):
     """Raised when an operation requires at least one document/sentence."""
 
 
@@ -146,7 +145,7 @@ def _load_jsonl(path: Path, bad_row) -> Iterator[RawDocument]:
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 bad_row(line_no, f"bad JSON row: {exc}")
                 continue
-            if not isinstance(stored, int) or stored < 1:
+            if type(stored) is not int or stored < 1:  # a bool is an int
                 bad_row(line_no, f"class index {stored!r} is not a positive integer")
                 continue
             if not isinstance(text, str) or not text.strip():
@@ -262,24 +261,15 @@ def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
     has more than *sent_len* words and a document when it has more than the
     derived threshold sentences.
     """
-    num_docs = 0
-    num_sentences = 0
     cropped_sentences = 0
     docs_with_cropped_sentences = 0
-    max_sents = 0
     max_words = 0
     vocab: set[str] = set()
-    # Histogram of sentences-per-document; enough to recover mean/stddev and
-    # the exact cropped-document count once the threshold is known.
-    sent_count_hist: Counter[int] = Counter()
+    sent_counts: list[int] = []  # sentences per document
 
     for doc in dataset:
         token_lists = preprocess_document(doc)
-        num_docs += 1
-        n_sents = len(token_lists)
-        sent_count_hist[n_sents] += 1
-        num_sentences += n_sents
-        max_sents = max(max_sents, n_sents)
+        sent_counts.append(len(token_lists))
         doc_has_cropped = False
         for tokens in token_lists:
             n_words = len(tokens)
@@ -291,14 +281,16 @@ def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
         if doc_has_cropped:
             docs_with_cropped_sentences += 1
 
-    if num_docs == 0:
+    if not sent_counts:
         raise EmptyCorpusError("corpus_stats requires at least one document")
 
-    counts = np.array(sorted(sent_count_hist.elements()), dtype=np.int64)
+    num_docs = len(sent_counts)
+    num_sentences = sum(sent_counts)
+    counts = np.array(sorted(sent_counts), dtype=np.int64)
     mu = float(np.mean(counts))
     sigma = float(np.std(counts))
     t_d = compute_doc_threshold(counts)
-    cropped_docs = sum(n for c, n in sent_count_hist.items() if c > t_d)
+    cropped_docs = sum(c > t_d for c in sent_counts)
 
     return CorpusStats(
         num_documents=num_docs,
@@ -306,7 +298,7 @@ def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
         pct_cropped_sentences=100.0 * cropped_sentences / max(1, num_sentences),
         pct_cropped_documents=100.0 * cropped_docs / num_docs,
         pct_docs_with_cropped_sentences=100.0 * docs_with_cropped_sentences / num_docs,
-        max_sentences_per_doc=max_sents,
+        max_sentences_per_doc=max(sent_counts),
         max_words_per_sentence=max_words,
         vocab_size=len(vocab),
         mean_sentences_per_doc=mu,

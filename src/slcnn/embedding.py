@@ -18,7 +18,7 @@ import numpy as np
 OOV_RANGE = 0.01
 
 
-class EmbeddingFormatError(Exception):
+class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding files."""
 
 
@@ -58,38 +58,48 @@ def load_embeddings(path: str | Path, dim: int) -> EmbeddingTable:
     occurrence, and the values of a later duplicate are not parsed.  Any
     malformed line raises EmbeddingFormatError naming ``path:line``.
 
-    The file is read once.  Python splits off each token; the values of all
-    first occurrences go through one ``np.loadtxt`` call, so every float
-    conversion runs in numpy's C parser.  Its grammar is a decimal number
-    with an optional exponent, or inf/infinity/nan, signed and in any case,
-    rounded to float64 and then to float32.  That is stricter than Python
-    ``float()``: digit-group underscores (``1_0``) and non-ASCII digits are
-    rejected.
+    The values of all first occurrences go through one ``np.loadtxt`` call,
+    so every float conversion runs in numpy's C parser.  Its grammar is a
+    decimal number with an optional exponent, or inf/infinity/nan, signed
+    and in any case, rounded to float64 and then to float32.  That is
+    stricter than Python ``float()``: digit-group underscores (``1_0``) and
+    non-ASCII digits are rejected.  loadtxt reads ahead, so when it fails
+    the file is read again one row at a time to name the first bad line.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
-
-    def first_values(lines: Iterable[str]) -> Iterator[str]:
-        for line in lines:
-            if line.count(" ") != dim:
-                raise EmbeddingFormatError  # located by _first_bad_line
-            token, _, values = line.partition(" ")
-            if token not in vocab:
-                vocab[token] = len(vocab)
-                yield values
-
-    with path.open("r", encoding="utf-8") as handle:
-        try:
-            matrix = _parse_values(first_values(handle))
-        except (ValueError, EmbeddingFormatError):
-            matrix = None
+    try:
+        matrix = _parse_values(values for _, values in _first_rows(path, dim, vocab))
+    except ValueError:
+        matrix = None
     if matrix is not None and not vocab:  # an empty file
         matrix = np.zeros((0, dim), dtype=np.float32)
     # A line whose values field is empty (dim 1) yields a blank line, which
     # loadtxt skips, so the row count is checked as well.
-    if matrix is None or matrix.shape != (len(vocab), dim):
-        raise _first_bad_line(path, dim)
-    return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
+    if matrix is not None and matrix.shape == (len(vocab), dim):
+        return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
+    for line_no, values in _first_rows(path, dim, {}):
+        try:
+            row = _parse_values([values])
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"{path}:{line_no}: {exc}") from None
+        if row.shape != (1, dim):
+            raise EmbeddingFormatError(f"{path}:{line_no}: empty value field")
+    raise EmbeddingFormatError(f"{path}: malformed embedding file")
+
+
+def _first_rows(path: Path, dim: int, vocab: dict[str, int]) -> Iterator[tuple[int, str]]:
+    """(line number, values field) of each token's first line, entering the
+    token in *vocab*; a line without exactly *dim* values raises."""
+    with path.open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if line.count(" ") != dim:
+                raise EmbeddingFormatError(f"{path}:{line_no}: expected token + {dim} values, "
+                                           f"got {line.count(' ') + 1} fields")
+            token, _, values = line.partition(" ")
+            if token not in vocab:
+                vocab[token] = len(vocab)
+                yield line_no, values
 
 
 def _parse_values(lines: Iterable[str]) -> np.ndarray:
@@ -100,30 +110,6 @@ def _parse_values(lines: Iterable[str]) -> np.ndarray:
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(lines, dtype=np.float32, delimiter=" ", comments=None,
                           quotechar=None, ndmin=2)
-
-
-def _first_bad_line(path: Path, dim: int) -> EmbeddingFormatError:
-    """Re-read *path* one line at a time, under the same rules as
-    load_embeddings, and describe the first line that breaks them."""
-    seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            fields = line.count(" ") + 1
-            if fields != dim + 1:
-                return EmbeddingFormatError(
-                    f"{path}:{line_no}: expected token + {dim} values, got {fields} fields"
-                )
-            token, _, values = line.partition(" ")
-            if token in seen:
-                continue
-            seen.add(token)
-            try:
-                row = _parse_values([values])
-            except ValueError as exc:
-                return EmbeddingFormatError(f"{path}:{line_no}: {exc}")
-            if row.shape != (1, dim):
-                return EmbeddingFormatError(f"{path}:{line_no}: empty value field")
-    return EmbeddingFormatError(f"{path}: malformed embedding file")
 
 
 def embedding_matrix_for_vocab(table: EmbeddingTable, vocab: Sequence[str]) -> np.ndarray:

@@ -65,7 +65,7 @@ STREAM_LIMIT = 3
 STREAM_SPLIT = 4
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Raised when a ModelConfig violates an architecture invariant."""
 
 
@@ -83,21 +83,20 @@ class TrainingDivergedError(Exception):
 def hcb_width_schedule(sent_len: int) -> list[int]:
     """Widths after each horizontal block, ending at exactly 1.
 
-    Each block maps width w -> floor((w - 2) / 2) and needs w >= 4; raises
-    ConfigError when the recurrence cannot reach 1 (as for w ending at 2).
+    There is at least one block.  Each maps width w -> floor((w - 2) / 2)
+    and needs w >= 4; raises ConfigError when the recurrence cannot reach 1
+    that way (as for w ending at 2, or a sentence length below 4).
     """
     widths = []
     w = sent_len
-    while w > 1:
+    while w > 1 or not widths:
         if w < 4:
             raise ConfigError(
                 f"sentence length {sent_len} cannot collapse to width 1 "
-                f"(stuck at {w}; each block needs width >= 4)"
+                f"(width {w} before a block; each block needs width >= 4)"
             )
         w = (w - 2) // 2
         widths.append(w)
-    if w != 1:
-        raise ConfigError(f"sentence length {sent_len} does not collapse to width 1")
     return widths
 
 
@@ -224,12 +223,8 @@ class Model:
         return [arr.copy() for _, arr in self.param_blocks()]
 
     def load_param_values(self, values: Sequence[np.ndarray]) -> None:
-        blocks = self.param_blocks()
-        if len(values) != len(blocks):
-            raise ValueError(f"expected {len(blocks)} parameter blocks, got {len(values)}")
-        for (name, arr), value in zip(blocks, values):
-            if arr.shape != value.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {value.shape}")
+        """Copy *values*, a param_values() list of this model, into place."""
+        for (_, arr), value in zip(self.param_blocks(), values):
             arr[...] = value
 
     # -- forward / backward -------------------------------------------------

@@ -4,7 +4,9 @@ Inputs are batches only: conv and pool take a rank-4 (batch, rows, cols,
 channels) array, row-major with channels innermost, and dense a rank-2
 (batch, features) array; any other rank raises ShapeError.  The model path
 runs in float32; float64 arrays are accepted so gradient checking can run a
-shadow copy at higher precision.
+shadow copy at higher precision.  Parameter containers hold whatever
+arrays they are given: parameters from outside are checked where they
+enter (model.load_checkpoint), and build_model makes the others.
 
 Determinism contract: every op is a fixed sequence of numpy calls on its
 operands.  Convolution adds one matmul over the channel axis per filter
@@ -54,17 +56,6 @@ class ConvFilterBank:
     weights: np.ndarray  # (k, s, t, c_in)
     biases: np.ndarray  # (k,)
 
-    def __post_init__(self) -> None:
-        if self.weights.ndim != 4:
-            raise ShapeError("conv weights must have shape (k, s, t, c_in)")
-        k, s, t, _ = self.weights.shape
-        if s not in (1, 2) or t not in (1, 2):
-            raise ShapeError(f"filter extent {s}x{t} unsupported; only 1x2 / 2x1 / 1x1 / 2x2")
-        if self.biases.shape != (k,):
-            raise ShapeError("conv biases must have shape (k,)")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
-            raise ShapeError("conv parameters must be finite")
-
     @property
     def num_filters(self) -> int:
         return self.weights.shape[0]
@@ -82,12 +73,6 @@ class ConvFilterBank:
 class DenseLayer:
     weights: np.ndarray  # (out, in)
     biases: np.ndarray  # (out,)
-
-    def __post_init__(self) -> None:
-        if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
-            raise ShapeError("dense layer needs weights (out, in) and biases (out,)")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
-            raise ShapeError("dense parameters must be finite")
 
 
 # --------------------------------------------------------------------------

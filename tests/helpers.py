@@ -7,6 +7,8 @@ import csv
 import math
 import os
 import statistics
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,43 @@ def corpus_vocab(docs: list[RawDocument]) -> list[str]:
             for tok in sent:
                 seen.setdefault(tok)
     return list(seen)
+
+
+def _first_block_name(body: bytes) -> int:
+    """Offset of the first parameter block's name in a checkpoint body."""
+    (blob_len,) = struct.unpack("<I", body[6:10])
+    return 10 + blob_len + 2
+
+
+def _renamed_first_block(body: bytes) -> bytes:
+    at = _first_block_name(body)
+    return body[:at] + b"hcb9" + body[at + 4:]  # hcb1.conv1.w -> hcb9.conv1.w
+
+
+def _widened_first_block(body: bytes) -> bytes:
+    at = _first_block_name(body) + len("hcb1.conv1.w") + 1  # past the name and ndim
+    k, s, t, c_in = struct.unpack("<4I", body[at:at + 16])
+    return body[:at] + struct.pack("<4I", k, s, t, c_in + 1) + body[at + 16:]
+
+
+# Defects of a checkpoint body that only the checks behind its CRC can
+# catch, each with the text of the CheckpointError it must raise.
+CHECKPOINT_DEFECTS = {
+    "bad_magic": (lambda body: b"SLCX" + body[4:], "bad magic"),
+    "version": (lambda body: body[:4] + struct.pack("<H", 2) + body[6:],
+                "unsupported checkpoint version 2"),
+    "block_name": (_renamed_first_block, "'hcb9.conv1.w' where 'hcb1.conv1.w' expected"),
+    "shape": (_widened_first_block, "block hcb1.conv1.w: stored shape"),
+    "trailing_bytes": (lambda body: body + b"\0", "trailing bytes"),
+    "truncated": (lambda body: body[:-257], "truncated checkpoint"),
+}
+
+
+def defective_checkpoint(raw: bytes, defect: str) -> bytes:
+    """The checkpoint file *raw* with one of CHECKPOINT_DEFECTS, sealed with
+    a recomputed CRC32 so that the checksum check passes."""
+    body = CHECKPOINT_DEFECTS[defect][0](raw[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -193,6 +194,36 @@ class TestTrain:
         assert code == 2
         assert "--ts" in err
         assert not out_dir.exists()
+
+    def test_ts_without_a_block_exits_2(self, synth_train_csv, synth_embeddings, tmp_path,
+                                        capsys):
+        # --ts 1 would leave no HCB to collapse the word axis.
+        out_dir = tmp_path / "never"
+        code, out, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8",
+            "--ts", "1",
+        ], capsys)
+        assert code == 2
+        assert "sentence length 1" in err and "Traceback" not in err and not out
+        assert not out_dir.exists()
+
+    def test_val_file_scores_every_epoch(self, synth_train_csv, synth_test_csv,
+                                         synth_embeddings, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--val", str(synth_test_csv), "--out-dir", str(out_dir),
+            "--limit", "8", "--epochs", "2", "--batch-size", "8",
+        ], capsys)
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert len(report["val_accuracy"]) == 2
+        assert json.loads(out)["best_val_accuracy"] == max(report["val_accuracy"])
+        assert (out_dir / "model_best.slcnn").is_file()
+        digests = json.loads((out_dir / "manifest.json").read_text())["input_digests"]
+        assert digests[str(synth_test_csv)] == \
+            hashlib.sha256(synth_test_csv.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("value", ["0.5", "0.05"])
     def test_val_with_explicit_val_frac_exits_2(self, synth_train_csv, synth_test_csv,
@@ -539,6 +570,20 @@ class TestEval:
         assert "checksum" in err
 
 
+    @pytest.mark.parametrize("defect", sorted(helpers.CHECKPOINT_DEFECTS))
+    def test_defective_checkpoint_exits_1(self, trained, synth_train_csv, synth_embeddings,
+                                          tmp_path, capsys, defect):
+        bad = tmp_path / "bad.slcnn"
+        bad.write_bytes(helpers.defective_checkpoint((trained / "model.slcnn").read_bytes(),
+                                                     defect))
+        code, out, err = run_cli([
+            "eval", "--checkpoint", str(bad),
+            "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+        ], capsys)
+        assert code == 1
+        assert helpers.CHECKPOINT_DEFECTS[defect][1] in err and not out
+
+
 class TestPredict:
     def test_empty_text_gives_valid_distribution(self, trained, synth_embeddings, capsys):
         code, out, _ = run_cli([
@@ -581,6 +626,42 @@ class TestPredict:
                                              net.config.doc_len, net.config.sent_len)
             logits = net.forward(m.EmbeddedDataset.build(grid, table).tensors(slice(None)))
             assert json.loads(out)["probabilities"] == nn.softmax(logits)[0].tolist()
+
+
+class TestSchemaFlag:
+    @pytest.fixture
+    def titled_csv(self, tmp_path) -> Path:
+        # Title and body on every row but line 5, which has a title only.
+        docs = helpers.make_synthetic_docs(4, num_classes=2, seed=6)
+        docs.insert(4, corpus.RawDocument(0, ["Only a title"]))
+        return helpers.write_dataset_csv(tmp_path / "titled.csv", docs)
+
+    @pytest.mark.parametrize("command", ["stats", "train"])
+    def test_short_row_is_skipped(self, titled_csv, synth_embeddings, tmp_path, caplog,
+                                  capsys, command):
+        rest = {"stats": [],
+                "train": ["--embeddings", str(synth_embeddings), "--out-dir", str(tmp_path / "run"),
+                          "--epochs", "1", "--batch-size", "8", "--val-frac", "0"]}[command]
+        code, out, _ = run_cli([command, "--input", str(titled_csv), "--schema", "title,body",
+                                *rest], capsys)
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == \
+            [f"{titled_csv}:5: expected 3 fields, got 2 (row skipped)"]
+        if command == "stats":
+            assert json.loads(out)["num_documents"] == 8
+
+    @pytest.mark.parametrize("command", ["stats", "train"])
+    def test_short_row_aborts_under_strict(self, titled_csv, synth_embeddings, tmp_path,
+                                           capsys, command):
+        out_dir = tmp_path / "never"
+        rest = {"stats": ["--out", str(tmp_path / "never.json")],
+                "train": ["--embeddings", str(synth_embeddings), "--out-dir", str(out_dir),
+                          "--epochs", "1"]}[command]
+        code, out, err = run_cli([command, "--input", str(titled_csv), "--schema", "title,body",
+                                  "--strict", *rest], capsys)
+        assert code == 2
+        assert f"{titled_csv}:5: expected 3 fields, got 2" in err and not out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["titled.csv"]
 
 
 class TestAtomicWrites:

@@ -90,13 +90,16 @@ class TestLoadDataset:
         path = tmp_path / "d.jsonl"
         path.write_text(
             json.dumps({"label": 2, "text": "Hello there."}) + "\n"
+            + json.dumps({"label": True, "text": "A bool is no class index."}) + "\n"
             + json.dumps({"label": 1, "text": ""}) + "\n",
             encoding="utf-8",
         )
         docs = list(load_dataset(path))
         assert len(docs) == 1
         assert docs[0].label == 1 and docs[0].fields == ["Hello there."]
-        assert skipped_lines(caplog, path) == [2]
+        assert skipped_lines(caplog, path) == [2, 3]
+        with pytest.raises(DatasetFormatError, match=":2: class index True"):
+            list(load_dataset(path, strict=True))
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="not found"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 import zlib
 
@@ -68,8 +69,10 @@ class TestShapeCollapse:
         assert hcb_width_schedule(46) == [22, 10, 4, 1]
 
     def test_width_schedule_rejects_non_collapsing(self):
-        with pytest.raises(ConfigError):
-            hcb_width_schedule(6)
+        # 1 would give no block at all; 2 and 3 are too narrow for the first.
+        for sent_len in (1, 2, 3, 6):
+            with pytest.raises(ConfigError):
+                hcb_width_schedule(sent_len)
 
     def test_width_schedule_alternate(self):
         assert hcb_width_schedule(10) == [4, 1]
@@ -419,6 +422,15 @@ class TestCheckpoint:
         path = tmp_path / "m.slcnn"
         save_checkpoint(net, path)
         with pytest.raises(CheckpointError, match="out.b"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("defect", sorted(helpers.CHECKPOINT_DEFECTS))
+    def test_defect_behind_valid_checksum_rejected(self, tmp_path, defect):
+        path = tmp_path / "m.slcnn"
+        save_checkpoint(_tiny_model("slcnn", 4), path)
+        path.write_bytes(helpers.defective_checkpoint(path.read_bytes(), defect))
+        message = helpers.CHECKPOINT_DEFECTS[defect][1]
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 
     def test_corrupt_byte_fails_checksum(self, tmp_path):
