@@ -180,6 +180,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     for path, dataset in ((train_path, docs), (val_path, val_docs), (test_path, test_docs)):
         if dataset is not None:
             _check_labels(dataset, num_classes, path)
+    # Documents the --val-frac split holds out of the training set.
+    n_val = 0
+    if val_docs is None and args.val_frac > 0 and len(docs) > 1:
+        n_val = max(1, round(args.val_frac * len(docs)))
+        if n_val >= len(docs):
+            raise ValueError(f"--val-frac {args.val_frac} holds out {n_val} of the {len(docs)} "
+                             "training documents, leaving none to train on")
     token_docs = [(doc.label, corpus.preprocess_document(doc)) for doc in docs]
     doc_len = args.td
     if doc_len is None:
@@ -210,9 +217,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         val_grid = corpus.build_grid_dataset(val_docs, doc_len, args.ts)
         train_data = full
         val_data = m.EmbeddedDataset.build(val_grid, table)
-    elif args.val_frac > 0 and len(full) > 1:
+    elif n_val:
         perm = np.random.default_rng([args.seed, m.STREAM_SPLIT]).permutation(len(full))
-        n_val = max(1, round(args.val_frac * len(full)))
         val_idx, train_idx = perm[:n_val], perm[n_val:]
         train_data = m.EmbeddedDataset(full.grids[train_idx], full.labels[train_idx], full.matrix)
         val_data = m.EmbeddedDataset(full.grids[val_idx], full.labels[val_idx], full.matrix)

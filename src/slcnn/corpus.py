@@ -83,7 +83,7 @@ def load_dataset(
     fields become spaces.
 
     Malformed rows are skipped with a ``path:line: message (row skipped)``
-    warning; ``strict=True`` aborts instead.
+    warning; ``strict=True`` aborts instead, as does a file that is not UTF-8.
     """
     path = Path(path)
     if not path.is_file():
@@ -94,10 +94,25 @@ def load_dataset(
             raise DatasetFormatError(f"{path}:{line_no}: {message}")
         log.warning("%s:%d: %s (row skipped)", path, line_no, message)
 
-    if path.suffix.lower() in (".jsonl", ".ndjson"):
-        yield from _load_jsonl(path, bad_row)
-    else:
-        yield from _load_csv(path, schema, bad_row)
+    try:
+        if path.suffix.lower() in (".jsonl", ".ndjson"):
+            yield from _load_jsonl(path, bad_row)
+        else:
+            yield from _load_csv(path, schema, bad_row)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(not_utf8_message(path, exc)) from None
+
+
+def not_utf8_message(path: Path, exc: UnicodeDecodeError) -> str:
+    """``path:line: ...`` naming the first line of *path* that is not UTF-8;
+    text is decoded in chunks, so only re-reading the bytes tells the line."""
+    with path.open("rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return f"{path}:{line_no}: not UTF-8 text ({exc.reason})"
 
 
 def _decode_field(text: str) -> str:
@@ -107,29 +122,34 @@ def _decode_field(text: str) -> str:
 def _load_csv(path: Path, schema, bad_row) -> Iterator[RawDocument]:
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            line_no = reader.line_num
-            if not row:
-                continue
-            if len(row) < 2:
-                bad_row(line_no, f"expected >= 2 fields, got {len(row)}")
-                continue
-            if schema is not None and len(row) != len(schema) + 1:
-                bad_row(line_no, f"expected {len(schema) + 1} fields, got {len(row)}")
-                continue
+        while True:  # the reader resumes after a row it cannot parse
             try:
-                stored = int(row[0])
-            except ValueError:
-                bad_row(line_no, f"class index {row[0]!r} is not an integer")
-                continue
-            if stored < 1:
-                bad_row(line_no, f"class index {stored} is not positive")
-                continue
-            fields = [_decode_field(f) for f in row[1:]]
-            if not any(f.strip() for f in fields):
-                bad_row(line_no, "document text is empty")
-                continue
-            yield RawDocument(label=stored - 1, fields=fields)
+                for row in reader:
+                    line_no = reader.line_num
+                    if not row:
+                        continue
+                    if len(row) < 2:
+                        bad_row(line_no, f"expected >= 2 fields, got {len(row)}")
+                        continue
+                    if schema is not None and len(row) != len(schema) + 1:
+                        bad_row(line_no, f"expected {len(schema) + 1} fields, got {len(row)}")
+                        continue
+                    try:
+                        stored = int(row[0])
+                    except ValueError:
+                        bad_row(line_no, f"class index {row[0]!r} is not an integer")
+                        continue
+                    if stored < 1:
+                        bad_row(line_no, f"class index {stored} is not positive")
+                        continue
+                    fields = [_decode_field(f) for f in row[1:]]
+                    if not any(f.strip() for f in fields):
+                        bad_row(line_no, "document text is empty")
+                        continue
+                    yield RawDocument(label=stored - 1, fields=fields)
+                return
+            except csv.Error as exc:  # a field over the size limit, a NUL byte
+                bad_row(reader.line_num, str(exc))
 
 
 def _load_jsonl(path: Path, bad_row) -> Iterator[RawDocument]:

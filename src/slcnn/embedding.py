@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .corpus import not_utf8_message
+
 OOV_RANGE = 0.01
 
 
@@ -92,14 +94,17 @@ def _first_rows(path: Path, dim: int, vocab: dict[str, int]) -> Iterator[tuple[i
     """(line number, values field) of each token's first line, entering the
     token in *vocab*; a line without exactly *dim* values raises."""
     with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if line.count(" ") != dim:
-                raise EmbeddingFormatError(f"{path}:{line_no}: expected token + {dim} values, "
-                                           f"got {line.count(' ') + 1} fields")
-            token, _, values = line.partition(" ")
-            if token not in vocab:
-                vocab[token] = len(vocab)
-                yield line_no, values
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if line.count(" ") != dim:
+                    raise EmbeddingFormatError(f"{path}:{line_no}: expected token + {dim} "
+                                               f"values, got {line.count(' ') + 1} fields")
+                token, _, values = line.partition(" ")
+                if token not in vocab:
+                    vocab[token] = len(vocab)
+                    yield line_no, values
+        except UnicodeDecodeError as exc:
+            raise EmbeddingFormatError(not_utf8_message(path, exc)) from None
 
 
 def _parse_values(lines: Iterable[str]) -> np.ndarray:

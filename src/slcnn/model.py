@@ -229,19 +229,9 @@ class Model:
 
     # -- forward / backward -------------------------------------------------
 
-    def _check_input(self, x: np.ndarray) -> None:
-        cfg = self.config
-        expected = (cfg.doc_len, cfg.sent_len, cfg.embed_dim)
-        if x.ndim != 4 or x.shape[1:] != expected:
-            raise nn.ShapeError(
-                f"expected input (batch, {expected[0]}, {expected[1]}, {expected[2]}), "
-                f"got {x.shape}"
-            )
-
     def _conv_trunk(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Trunk features (batch, rows, 1, c) and the caches _backward reads:
         the row blocks, each block's HCB caches, and the VCB's (or None)."""
-        self._check_input(x)
         batch, rows = x.shape[:2]
         flat = x.reshape(batch * rows, 1, *x.shape[2:])
         blocks = _row_blocks(len(flat))
@@ -447,8 +437,6 @@ def train(
     """
     cfg = model.config
     n = len(train_data)
-    if n == 0:
-        raise ValueError("training set is empty")
     blocks = model.param_blocks()
     names = [name for name, _ in blocks]
     params = [arr for _, arr in blocks]
@@ -508,8 +496,6 @@ def predict_labels(model: Model, data: EmbeddedDataset, batch_size: int = 256) -
 
 def evaluate(model: Model, data: EmbeddedDataset, batch_size: int = 256) -> float:
     """Fraction of documents whose argmax logit matches the label."""
-    if len(data) == 0:
-        raise ValueError("evaluation set is empty")
     preds = predict_labels(model, data, batch_size)
     return float((preds == data.labels).mean())
 

@@ -1,12 +1,13 @@
 """Minimal deterministic tensor engine for the sentence-level CNN.
 
-Inputs are batches only: conv and pool take a rank-4 (batch, rows, cols,
-channels) array, row-major with channels innermost, and dense a rank-2
-(batch, features) array; any other rank raises ShapeError.  The model path
-runs in float32; float64 arrays are accepted so gradient checking can run a
-shadow copy at higher precision.  Parameter containers hold whatever
-arrays they are given: parameters from outside are checked where they
-enter (model.load_checkpoint), and build_model makes the others.
+Ops take batches only: conv and pool a rank-4 (batch, rows, cols, channels)
+array, channels innermost, and dense a rank-2 (batch, features) array.  The
+model path runs in float32; float64 works too, for gradient checking.  Ops
+do not check the operands the model builds: each rule is checked where its
+data enters, in ModelConfig (shapes, classes, dropout rate), load_checkpoint
+(parameters), load_embeddings (embedding width) and the dataset loaders and
+CLI (labels).  Ops check only what real data can trip, and training reports
+it as divergence: non-finite logits and non-finite gradients.
 
 Determinism contract: every op is a fixed sequence of numpy calls on its
 operands.  Convolution adds one matmul over the channel axis per filter
@@ -24,25 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "identity")
-
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 
-class ShapeError(Exception):
-    """Raised when operand shapes are inconsistent with an op's contract."""
-
-
 class OptimizerError(Exception):
     """Raised on non-finite gradients, naming the offending parameter block."""
-
-
-def _check_batch(x: np.ndarray, ndim: int, what: str) -> None:
-    if x.dtype not in (np.float32, np.float64):
-        raise ShapeError(f"{what} must be float32 or float64, got {x.dtype}")
-    if x.ndim != ndim:
-        raise ShapeError(f"{what} must be a rank-{ndim} batch, got rank {x.ndim}")
 
 
 # --------------------------------------------------------------------------
@@ -55,18 +43,6 @@ class ConvFilterBank:
 
     weights: np.ndarray  # (k, s, t, c_in)
     biases: np.ndarray  # (k,)
-
-    @property
-    def num_filters(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def extent(self) -> tuple[int, int]:
-        return self.weights.shape[1], self.weights.shape[2]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[3]
 
 
 @dataclass
@@ -83,7 +59,6 @@ class DenseLayer:
 class ConvCache:
     x: np.ndarray
     relu_mask: np.ndarray | None  # None for identity activation
-    out_shape: tuple[int, ...]
 
 
 def conv2d_forward(
@@ -93,15 +68,8 @@ def conv2d_forward(
 
     Input is a batch (B, m, n, c_in); output (B, m - s + 1, n - t + 1, k).
     """
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    _check_batch(x, 4, "conv input")
     batch, m, n, c_in = x.shape
-    s, t = bank.extent
-    if c_in != bank.in_channels:
-        raise ShapeError(f"input has {c_in} channels, filters expect {bank.in_channels}")
-    if m < s or n < t:
-        raise ShapeError(f"input {m}x{n} smaller than filter extent {s}x{t}")
+    k, s, t, _ = bank.weights.shape
     om, on = m - s + 1, n - t + 1
 
     w = bank.weights.astype(x.dtype, copy=False)
@@ -117,13 +85,13 @@ def conv2d_forward(
             else:
                 flat += contrib
     flat += bank.biases.astype(x.dtype, copy=False)
-    out = flat.reshape(batch, om, on, bank.num_filters)
+    out = flat.reshape(batch, om, on, k)
 
     mask = None
     if activation == "relu":
         mask = out > 0
         np.maximum(out, 0, out=out)
-    return out, ConvCache(x=x, relu_mask=mask, out_shape=out.shape)
+    return out, ConvCache(x=x, relu_mask=mask)
 
 
 def conv2d_backward(
@@ -137,19 +105,16 @@ def conv2d_backward(
     With ``need_input_grad=False`` the input gradient is not computed and
     None is returned in its place (the layer over frozen embeddings).
     """
-    if upstream.shape != cache.out_shape:
-        raise ShapeError(f"upstream shape {upstream.shape} != forward output {cache.out_shape}")
     up = upstream if cache.relu_mask is None else upstream * cache.relu_mask
     x = cache.x
-    s, t = bank.extent
+    k, s, t, c_in = bank.weights.shape
     om, on = up.shape[1], up.shape[2]
     w = bank.weights.astype(x.dtype, copy=False)
 
     grad_b = up.sum(axis=(0, 1, 2))
     grad_w = np.zeros_like(w)
     grad_x = np.zeros_like(x) if need_input_grad else None
-    c_in = bank.in_channels
-    up_flat = up.reshape(-1, bank.num_filters)
+    up_flat = up.reshape(-1, k)
     for a in range(s):
         for b in range(t):
             window = x[:, a : a + om, b : b + on, :].reshape(-1, c_in)
@@ -188,13 +153,7 @@ def maxpool_forward(x: np.ndarray, axis: str) -> tuple[np.ndarray, PoolCache]:
     The pooled length is floor(len / 2); an odd trailing element is dropped.
     Ties prefer the earlier index (recorded for the backward pass).
     """
-    _check_batch(x, 4, "pool input")
-    if axis not in (HORIZONTAL, VERTICAL):
-        raise ValueError(f"pooling axis must be {HORIZONTAL!r} or {VERTICAL!r}")
     ax = 2 if axis == HORIZONTAL else 1
-    length = x.shape[ax]
-    if length < 2:
-        raise ShapeError(f"cannot pool a dimension of length {length}")
     first, second = _pair_halves(x, ax)
     take_first = first >= second
     out = np.maximum(first, second)
@@ -203,10 +162,6 @@ def maxpool_forward(x: np.ndarray, axis: str) -> tuple[np.ndarray, PoolCache]:
 
 def maxpool_backward(cache: PoolCache, upstream: np.ndarray) -> np.ndarray:
     """Route upstream values to their argmax positions; dropped tails get 0."""
-    if upstream.shape != cache.take_first.shape:
-        raise ShapeError(
-            f"upstream shape {upstream.shape} != pooled shape {cache.take_first.shape}"
-        )
     ax = cache.axis_index
     grad = np.empty(cache.in_shape, dtype=upstream.dtype)
     if cache.in_shape[ax] % 2:
@@ -233,12 +188,6 @@ def dense_forward(
     x: np.ndarray, layer: DenseLayer, activation: str = "relu"
 ) -> tuple[np.ndarray, DenseCache]:
     """out = act(x W^T + b) for a batch of vectors x, shaped (B, in)."""
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    _check_batch(x, 2, "dense input")
-    out_dim, in_dim = layer.weights.shape
-    if x.shape[1] != in_dim:
-        raise ShapeError(f"dense input length {x.shape[1]} != layer input {in_dim}")
     w = layer.weights.astype(x.dtype, copy=False)
     out = x @ w.T + layer.biases.astype(x.dtype, copy=False)
     mask = None
@@ -251,8 +200,6 @@ def dense_forward(
 def dense_backward(
     layer: DenseLayer, cache: DenseCache, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if upstream.shape != (cache.x.shape[0], layer.weights.shape[0]):
-        raise ShapeError("upstream shape inconsistent with the forward call")
     up = upstream if cache.relu_mask is None else upstream * cache.relu_mask
     grad_w = up.T @ cache.x
     grad_b = up.sum(axis=0)
@@ -283,21 +230,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     """
     if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite values")
-    batch, num_classes = logits.shape
-    if num_classes < 2:
-        raise ShapeError("need at least 2 classes")
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.shape != (batch,):
-        raise ShapeError(f"labels shape {lab.shape} does not match batch {batch}")
-    if (lab < 0).any() or (lab >= num_classes).any():
-        raise ValueError("label out of range")
-
+    batch = len(logits)
     rows = np.arange(batch)
     lg = logits.astype(np.float64)
     z = lg - lg.max(axis=-1, keepdims=True)
-    losses = np.log(np.exp(z).sum(axis=-1)) - z[rows, lab]
+    losses = np.log(np.exp(z).sum(axis=-1)) - z[rows, labels]
     grad = softmax(logits)
-    grad[rows, lab] -= 1
+    grad[rows, labels] -= 1
     grad /= batch
     return losses, grad
 
@@ -314,8 +253,6 @@ def dropout(
     by the mask is the exact backward pass.  With no rng (eval) it is the
     identity.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return x, np.ones_like(x)
     keep = rng.random(x.shape) >= rate
@@ -360,14 +297,10 @@ def adam_step(
         v <- b2 v + (1-b2) g^2      vhat = v / (1 - b2^t)
         p <- p - lr * mhat / (sqrt(vhat) + eps)
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise OptimizerError("params/grads/state length mismatch")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise OptimizerError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         if not np.isfinite(g).all():
             name = names[i] if names else f"block {i}"
             raise OptimizerError(f"non-finite gradient in {name}")

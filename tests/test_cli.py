@@ -130,6 +130,7 @@ class TestTrain:
         ("--batch-size", "0", "batch_size"),
         ("--lr", "-1", "lr"),
         ("--lr", "nan", "lr"),
+        ("--dropout", "1", "dropout_rate"),
     ])
     def test_impossible_setting_exits_2_before_any_write(
             self, synth_train_csv, synth_embeddings, tmp_path, capsys, flag, value, field):
@@ -290,6 +291,23 @@ class TestTrain:
         assert code == 0
         assert json.loads((out_dir / "report.json").read_text())["val_accuracy"] == []
         assert not (out_dir / "model_best.slcnn").exists()
+
+    def test_val_frac_leaving_no_training_document_exits_2(self, tmp_path, capsys):
+        # Rejected with the other settings, before the (malformed) embedding
+        # file is parsed.
+        two = helpers.write_dataset_csv(
+            tmp_path / "two.csv", helpers.make_synthetic_docs(1, num_classes=2, seed=4))
+        broken = tmp_path / "emb.txt"
+        broken.write_text("x 1.0\n", encoding="utf-8")
+        out_dir = tmp_path / "never"
+        code, out, err = run_cli([
+            "train", "--input", str(two), "--embeddings", str(broken),
+            "--out-dir", str(out_dir), "--val-frac", "0.9",
+        ], capsys)
+        assert code == 2 and not out
+        assert "--val-frac 0.9 holds out 2 of the 2 training documents" in err
+        assert str(broken) not in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", ["--test", "--val"])
     def test_held_out_labels_beyond_train_classes_exit_2(
@@ -662,6 +680,70 @@ class TestSchemaFlag:
         assert code == 2
         assert f"{titled_csv}:5: expected 3 fields, got 2" in err and not out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["titled.csv"]
+
+
+class TestUnusableInput:
+    @pytest.mark.parametrize("strict", [False, True], ids=["skipped", "strict"])
+    def test_oversized_csv_field_is_a_malformed_row(self, tmp_path, caplog, capsys, strict):
+        # The csv module refuses a field over 131,072 characters; the reader
+        # goes on with the next row.
+        path = tmp_path / "big.csv"
+        path.write_text(f'1,"{"x" * 140_000}"\n2,"Markets closed higher."\n', encoding="utf-8")
+        code, out, err = run_cli(["stats", "--input", str(path)] + ["--strict"] * strict, capsys)
+        if strict:
+            assert code == 2 and not out
+            assert f"{path}:1: field larger than field limit" in err
+        else:
+            assert code == 0
+            assert json.loads(out)["num_documents"] == 1
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            assert len(warnings) == 1
+            assert warnings[0].startswith(f"{path}:1: field larger than field limit")
+
+    @pytest.mark.parametrize("kind", ["csv", "jsonl", "embeddings"])
+    def test_non_utf8_file_names_its_line(self, synth_train_csv, synth_embeddings, tmp_path,
+                                          capsys, kind):
+        # The bad byte lies past the first 8 KiB, which text reading decodes
+        # in one chunk, so the reader's position does not give its line.
+        if kind == "embeddings":
+            good = synth_embeddings.read_bytes()
+            bad = b"caf\xe9" + good[good.index(b" "):good.index(b"\n") + 1]
+        else:
+            good = (b'1,"Stocks rallied."\n' if kind == "csv"
+                    else b'{"label": 1, "text": "Stocks rallied."}\n') * 1000
+            bad = good[:good.index(b"\n") + 1].replace(b"Stocks", b"Caf\xe9")
+        assert len(good) > 8192
+        path = tmp_path / ("vectors.txt" if kind == "embeddings" else f"data.{kind}")
+        path.write_bytes(good + bad + good)
+        argv = (["train", "--input", str(synth_train_csv), "--embeddings", str(path),
+                 "--out-dir", str(tmp_path / "never"), "--limit", "8"]
+                if kind == "embeddings" else ["stats", "--input", str(path)])
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and not out
+        line = good.count(b"\n") + 1
+        assert f"{path}:{line}: not UTF-8 text" in err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--input"), ("train", "--test"), ("train", "--val"), ("eval", "--input"),
+    ])
+    def test_file_without_usable_documents_exits_2(self, trained, synth_train_csv,
+                                                   synth_embeddings, tmp_path, capsys,
+                                                   command, flag):
+        unusable = tmp_path / "unusable.csv"
+        unusable.write_text('x,"label is no integer"\n1\n0,"class zero"\n', encoding="utf-8")
+        files = {"--input": synth_train_csv, "--embeddings": synth_embeddings, flag: unusable}
+        if command == "train":
+            files["--out-dir"] = tmp_path / "never"
+            extra = ["--epochs", "1", "--batch-size", "8", "--limit", "8"]
+        else:
+            files["--checkpoint"] = trained / "model.slcnn"
+            extra = ["--out", str(tmp_path / "never.json")]
+        argv = [command] + [str(a) for pair in files.items() for a in pair] + extra
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and not out
+        assert f"no usable documents in {unusable}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["unusable.csv"]
 
 
 class TestAtomicWrites:

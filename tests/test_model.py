@@ -90,16 +90,6 @@ class TestShapeCollapse:
         x = np.random.default_rng(rows).normal(size=(2, rows, 46, 6)).astype(F32)
         assert helpers.features(net, x).shape == (2, rows, 1, 5)
 
-    def test_hcb_rejects_narrow_input(self):
-        net = _tiny_model("slcnn", 4)
-        with pytest.raises(nn.ShapeError):
-            helpers.features(net, np.zeros((2, 4, 3, 6), F32))
-
-    def test_vcb_rejects_few_rows(self):
-        net = _tiny_model("slcnn+v", 4)
-        with pytest.raises(nn.ShapeError):
-            helpers.features(net, np.zeros((2, 3, 46, 6), F32))
-
 
 def _tiny_model(variant: str, doc_len: int) -> Model:
     """A full trunk with 5 filters over 6-d embeddings."""
@@ -142,6 +132,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("field,value", [
         ("epochs", 0), ("epochs", -1), ("batch_size", 0),
         ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("dropout_rate", 1.0), ("dropout_rate", -0.1),
     ])
     def test_impossible_training_settings_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -230,11 +221,6 @@ class TestForward:
         logits = net.forward(batch)
         for row in logits[1:]:
             assert np.array_equal(row, logits[0])
-
-    def test_input_shape_checked(self):
-        net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=4))
-        with pytest.raises(nn.ShapeError):
-            net.forward(np.zeros((1, 5, 46, 100), F32))
 
     def test_softmax_head_probability_vector(self):
         net = build_model(ModelConfig(variant="slcnn+v", doc_len=6, num_classes=5))
