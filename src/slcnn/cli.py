@@ -18,8 +18,10 @@ leaves a truncated file.
 width, classes) from the checkpoint, and no flag of theirs can contradict
 it; the embedding file must have the checkpoint's width.  ``eval`` makes one
 forward pass over the documents; accuracy and the confusion matrix both
-come from its predictions.  ``predict`` turns its text into a tensor through
-the same grid-dataset path as ``eval``.
+come from its predictions.  A command that reads embeddings builds one
+grid, so one vocabulary, over all its documents (``train``: training,
+validation and test), then parses the embedding file into one matrix.  A
+token's row depends only on the token, so sharing it changes no tensor.
 
 numpy (and its BLAS) is imported only after the ``--threads`` flag is
 applied to the thread-count environment variables, because the default of
@@ -126,8 +128,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from . import corpus
 
     path = _resolve_input(args.input)
-    stream = corpus.load_dataset(path, _parse_schema(args.schema), strict=args.strict)
-    stats = corpus.corpus_stats(stream, args.ts)
+    stats = corpus.corpus_stats(_load_docs(args, path), args.ts)
     payload = {"schema_version": 1, **stats.__dict__}
     _emit(payload, args.pretty, args.out)
     if args.out:
@@ -158,10 +159,39 @@ def _check_labels(docs, num_classes: int, path: Path) -> None:
         raise ValueError(f"{path}: class index {top} is outside the model's {num_classes} classes")
 
 
+def _tokenized(docs) -> list[tuple[int, list[list[str]]]]:
+    from . import corpus
+
+    return [(doc.label, corpus.preprocess_document(doc)) for doc in docs]
+
+
+def _embedded(emb_path: Path, dim: int, doc_len: int, sent_len: int, *doc_sets):
+    """One EmbeddedDataset per set of (label, sentences) documents, or None
+    for an empty set.  All sets share one grid vocabulary and one embedding
+    matrix; the embedding file is parsed once, after the grid is built, and
+    its table is dropped on return."""
+    from . import corpus, embedding, model as m
+
+    grid = corpus.build_grid_dataset_from_token_docs(
+        (doc for docs in doc_sets for doc in docs), doc_len, sent_len
+    )
+    log.info("loading embeddings from %s", emb_path)
+    table = embedding.load_embeddings(emb_path, dim)
+    log.info("%d embedding rows, dim %d", len(table.vocab), table.dim)
+    full = m.EmbeddedDataset.build(grid, table)
+    views, start = [], 0
+    for docs in doc_sets:
+        part = slice(start, start + len(docs))
+        start = part.stop
+        views.append(m.EmbeddedDataset(full.grids[part], full.labels[part], full.matrix)
+                     if docs else None)
+    return views
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from . import corpus, embedding, model as m
+    from . import corpus, model as m
 
     # Rejected before any input is read, not after every epoch has run.
     out_dir = Path(args.out_dir)
@@ -174,20 +204,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     val_path = _resolve_input(args.val) if args.val else None
 
     docs = _load_docs(args, train_path, args.limit, args.seed)
-    val_docs = _load_docs(args, val_path) if val_path else None
-    test_docs = _load_docs(args, test_path, args.test_limit, args.seed) if test_path else None
+    val_docs = _load_docs(args, val_path) if val_path else []
+    test_docs = _load_docs(args, test_path, args.test_limit, args.seed) if test_path else []
     num_classes = args.classes if args.classes is not None else max(d.label for d in docs) + 1
     for path, dataset in ((train_path, docs), (val_path, val_docs), (test_path, test_docs)):
-        if dataset is not None:
+        if dataset:
             _check_labels(dataset, num_classes, path)
-    # Documents the --val-frac split holds out of the training set.
-    n_val = 0
-    if val_docs is None and args.val_frac > 0 and len(docs) > 1:
-        n_val = max(1, round(args.val_frac * len(docs)))
-        if n_val >= len(docs):
-            raise ValueError(f"--val-frac {args.val_frac} holds out {n_val} of the {len(docs)} "
-                             "training documents, leaving none to train on")
-    token_docs = [(doc.label, corpus.preprocess_document(doc)) for doc in docs]
+    token_docs = _tokenized(docs)
     doc_len = args.td
     if doc_len is None:
         doc_len = corpus.compute_doc_threshold([len(tokens) for _, tokens in token_docs])
@@ -206,24 +229,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         dropout_rate=args.dropout,
     )
 
-    log.info("loading embeddings from %s", emb_path)
-    table = embedding.load_embeddings(emb_path, args.dim)
-    log.info("%d embedding rows, dim %d", len(table.vocab), table.dim)
-
-    grid_ds = corpus.build_grid_dataset_from_token_docs(token_docs, doc_len, args.ts)
-    full = m.EmbeddedDataset.build(grid_ds, table)
-
-    if val_docs is not None:
-        val_grid = corpus.build_grid_dataset(val_docs, doc_len, args.ts)
-        train_data = full
-        val_data = m.EmbeddedDataset.build(val_grid, table)
-    elif n_val:
-        perm = np.random.default_rng([args.seed, m.STREAM_SPLIT]).permutation(len(full))
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-        train_data = m.EmbeddedDataset(full.grids[train_idx], full.labels[train_idx], full.matrix)
-        val_data = m.EmbeddedDataset(full.grids[val_idx], full.labels[val_idx], full.matrix)
-    else:
-        train_data, val_data = full, None
+    held_out = _tokenized(val_docs)
+    # The --val-frac split holds documents out of the training set.
+    if not val_path and args.val_frac > 0 and len(docs) > 1:
+        n_val = max(1, round(args.val_frac * len(docs)))
+        if n_val >= len(docs):
+            raise ValueError(f"--val-frac {args.val_frac} holds out {n_val} of the {len(docs)} "
+                             "training documents, leaving none to train on")
+        perm = np.random.default_rng([args.seed, m.STREAM_SPLIT]).permutation(len(token_docs))
+        held_out = [token_docs[i] for i in perm[:n_val]]
+        token_docs = [token_docs[i] for i in perm[n_val:]]
+    train_data, val_data, test_data = _embedded(
+        emb_path, args.dim, doc_len, args.ts, token_docs, held_out, _tokenized(test_docs)
+    )
 
     net = m.build_model(config)
     log.info(
@@ -241,11 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     report = m.train(net, train_data, val_data, log_fn=log_epoch)
-
-    test_data = None
-    if test_docs is not None:
-        test_grid = corpus.build_grid_dataset(test_docs, doc_len, args.ts)
-        test_data = m.EmbeddedDataset.build(test_grid, table)
+    if test_data is not None:
         report.test_accuracy_final = m.evaluate(net, test_data)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,7 +299,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from . import corpus, embedding, model as m
+    from . import model as m
 
     ckpt_path = _resolve_input(args.checkpoint)
     data_path = _resolve_input(args.input)
@@ -293,12 +307,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     net = m.load_checkpoint(ckpt_path)
     config = net.config
-    table = embedding.load_embeddings(emb_path, config.embed_dim)
-
     docs = _load_docs(args, data_path, args.limit, config.seed)
     _check_labels(docs, config.num_classes, data_path)
-    grid = corpus.build_grid_dataset(docs, config.doc_len, config.sent_len)
-    data = m.EmbeddedDataset.build(grid, table)
+    (data,) = _embedded(emb_path, config.embed_dim, config.doc_len, config.sent_len,
+                        _tokenized(docs))
     preds = m.predict_labels(net, data)
     confusion = m.confusion_matrix(data.labels, preds, config.num_classes)
     payload = {
@@ -317,19 +329,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    from . import corpus, embedding, model as m
+    from . import corpus, model as m
 
     ckpt_path = _resolve_input(args.checkpoint)
     emb_path = _resolve_input(args.embeddings)
     net = m.load_checkpoint(ckpt_path)
     config = net.config
-    table = embedding.load_embeddings(emb_path, config.embed_dim)
-
     text = args.text if args.text is not None else sys.stdin.read()
-    grid = corpus.build_grid_dataset(
-        [corpus.RawDocument(label=0, fields=[text])], config.doc_len, config.sent_len
-    )
-    data = m.EmbeddedDataset.build(grid, table)
+    (data,) = _embedded(emb_path, config.embed_dim, config.doc_len, config.sent_len,
+                        _tokenized([corpus.RawDocument(label=0, fields=[text])]))
     probs = m.predict_proba(net, data.tensors(slice(None)))[0]
     payload = {
         "schema_version": 1,
@@ -342,7 +350,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _replay_argv(args: argparse.Namespace) -> list[str]:
     """The manifest's argv (plus any ``--out-dir``) once its inputs match their digests."""
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{args.manifest}: {exc}") from None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("input_digests"), dict)):
         raise ValueError(f"{args.manifest}: not a run manifest (input_digests is no object)")
     argv = manifest.get("argv")

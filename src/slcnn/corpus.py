@@ -28,10 +28,6 @@ class DatasetFormatError(ValueError):
     """Raised for unreadable dataset files or, in strict mode, bad rows."""
 
 
-class EmptyCorpusError(ValueError):
-    """Raised when an operation requires at least one document/sentence."""
-
-
 @dataclass
 class RawDocument:
     """One labeled document as stored: 0-based label plus ordered text fields."""
@@ -86,8 +82,6 @@ def load_dataset(
     warning; ``strict=True`` aborts instead, as does a file that is not UTF-8.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DatasetFormatError(f"dataset file not found: {path}")
 
     def bad_row(line_no: int, message: str) -> None:
         if strict:
@@ -258,13 +252,12 @@ def preprocess_document(doc: RawDocument) -> list[list[str]]:
 # --------------------------------------------------------------------------
 
 def compute_doc_threshold(sentence_counts: Sequence[int]) -> int:
-    """Sentences-per-document threshold: ceil(mean + 1.5 * population stddev).
+    """Sentences-per-document threshold of a non-empty corpus:
+    ceil(mean + 1.5 * population stddev).
 
     Values within 1e-9 of an integer are snapped to it before the ceiling
     to keep floating-point dust from causing an off-by-one.
     """
-    if len(sentence_counts) == 0:
-        raise EmptyCorpusError("cannot compute document threshold of an empty corpus")
     mu = float(np.mean(sentence_counts))
     sigma = float(np.std(sentence_counts))  # population stddev
     value = mu + 1.5 * sigma
@@ -275,7 +268,7 @@ def compute_doc_threshold(sentence_counts: Sequence[int]) -> int:
 
 
 def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
-    """Single-pass corpus statistics over preprocessed documents.
+    """Single-pass corpus statistics over at least one document.
 
     Crop percentages use strict inequalities: a sentence is cropped when it
     has more than *sent_len* words and a document when it has more than the
@@ -300,9 +293,6 @@ def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
             vocab.update(tokens)
         if doc_has_cropped:
             docs_with_cropped_sentences += 1
-
-    if not sent_counts:
-        raise EmptyCorpusError("corpus_stats requires at least one document")
 
     num_docs = len(sent_counts)
     num_sentences = sum(sent_counts)
@@ -355,10 +345,9 @@ def build_grid_dataset_from_token_docs(
     """Crop and id-encode already-preprocessed (label, sentences) pairs.
 
     Keeps the first *doc_len* sentences and the first *sent_len* tokens of
-    each; every other cell holds the pad id 0.
+    each; every other cell holds the pad id 0.  There must be at least one
+    document, and both dimensions must be at least 1.
     """
-    if doc_len < 1 or sent_len < 1:
-        raise ValueError("grid dimensions must be >= 1")
     vocab: dict[str, int] = {}
     labels: list[int] = []
     grid_rows: list[np.ndarray] = []
@@ -369,8 +358,6 @@ def build_grid_dataset_from_token_docs(
             ids[i, : len(row)] = row
         labels.append(label)
         grid_rows.append(ids)
-    if not labels:
-        raise EmptyCorpusError("cannot build a grid dataset from zero documents")
     return GridDataset(
         vocab=list(vocab),
         labels=np.array(labels, dtype=np.int64),

@@ -31,7 +31,7 @@ import secrets
 import struct
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -100,6 +100,10 @@ def hcb_width_schedule(sent_len: int) -> list[int]:
     return widths
 
 
+# Lower bounds of ModelConfig's integer fields; every other one is at least 1.
+_INT_MINIMUM = {"num_classes": 2, "seed": 0}
+
+
 @dataclass
 class ModelConfig:
     variant: str
@@ -116,26 +120,23 @@ class ModelConfig:
     dropout_rate: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type != "int":
+                continue
+            value, least = getattr(self, f.name), _INT_MINIMUM.get(f.name, 1)
+            if type(value) is not int:  # a bool is an int
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{f.name} must be >= {least}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        for name in ("doc_len", "embed_dim", "num_filters", "fc_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if self.variant == SLCNN_V and self.doc_len < 4:
             raise ConfigError(
                 f"variant {SLCNN_V!r} needs doc_len >= 4 (two 2x1 convs then a pool "
                 f"of 2); got doc_len={self.doc_len}"
             )
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0; got {self.lr}")
         # Raises when the word axis cannot collapse to 1 (46 always works).

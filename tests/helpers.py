@@ -4,6 +4,7 @@ independent oracles the tests check production code against."""
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import statistics
@@ -163,6 +164,18 @@ def _widened_first_block(body: bytes) -> bytes:
     return body[:at] + struct.pack("<4I", k, s, t, c_in + 1) + body[at + 16:]
 
 
+def _retyped_config(name: str, convert):
+    """A defect that stores config field *name* as convert(its value): the
+    same number, of another JSON type."""
+    def defect(body: bytes) -> bytes:
+        (blob_len,) = struct.unpack("<I", body[6:10])
+        config = json.loads(body[10:10 + blob_len])
+        config[name] = convert(config[name])
+        blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+        return body[:6] + struct.pack("<I", len(blob)) + blob + body[10 + blob_len:]
+    return defect
+
+
 # Defects of a checkpoint body that only the checks behind its CRC can
 # catch, each with the text of the CheckpointError it must raise.
 CHECKPOINT_DEFECTS = {
@@ -173,6 +186,12 @@ CHECKPOINT_DEFECTS = {
     "shape": (_widened_first_block, "block hcb1.conv1.w: stored shape"),
     "trailing_bytes": (lambda body: body + b"\0", "trailing bytes"),
     "truncated": (lambda body: body[:-257], "truncated checkpoint"),
+    "float_doc_len": (_retyped_config("doc_len", float),
+                      "bad config blob in checkpoint: doc_len must be an integer"),
+    "float_num_filters": (_retyped_config("num_filters", float),
+                          "bad config blob in checkpoint: num_filters must be an integer"),
+    "bool_seed": (_retyped_config("seed", bool),
+                  "bad config blob in checkpoint: seed must be an integer"),
 }
 
 

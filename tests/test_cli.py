@@ -324,6 +324,33 @@ class TestTrain:
         assert str(synth_test_csv) in err and "class index 4" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
+    def test_test_scores_match_eval_and_leave_training_alone(
+            self, synth_train_csv, synth_test_csv, synth_embeddings, tmp_path, capsys, variant):
+        # The test set adds words to the run's one vocabulary, one of them
+        # missing from the embedding file; a token's row depends only on the
+        # token, so no training tensor changes.
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_bytes(synth_test_csv.read_bytes() + b'2,"Quokkas played the match."\n')
+        argv = ["train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+                "--variant", variant, "--td", "4", "--limit", "24", "--epochs", "2",
+                "--batch-size", "8", "--seed", "5"]
+        code, _, _ = run_cli(argv + ["--out-dir", str(tmp_path / "plain")], capsys)
+        assert code == 0
+        code, out, _ = run_cli(argv + ["--out-dir", str(tmp_path / "run"),
+                                       "--test", str(test_csv)], capsys)
+        assert code == 0
+        summary = json.loads(out)
+        for name, key in (("model.slcnn", "test_accuracy_final"),
+                          ("model_best.slcnn", "test_accuracy_best_val")):
+            checkpoint = tmp_path / "run" / name
+            assert checkpoint.read_bytes() == (tmp_path / "plain" / name).read_bytes()
+            code, out, _ = run_cli(["eval", "--checkpoint", str(checkpoint),
+                                    "--input", str(test_csv),
+                                    "--embeddings", str(synth_embeddings)], capsys)
+            assert code == 0
+            assert json.loads(out)["accuracy"] == summary[key]
+
     def test_artifacts_written(self, trained):
         assert (trained / "model.slcnn").is_file()
         assert (trained / "model_best.slcnn").is_file()
@@ -470,6 +497,16 @@ class TestRerun:
         assert code == 2
         assert str(manifest) in err and not out
         assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
+
+    @pytest.mark.parametrize("raw,reason", [
+        (b"\xff{}", "can't decode byte 0xff"), (b"argv: stats", "Expecting value"),
+    ], ids=["not_utf8", "not_json"])
+    def test_undecodable_manifest_is_named(self, tmp_path, capsys, raw, reason):
+        manifest = tmp_path / "stats.manifest.json"
+        manifest.write_bytes(raw)
+        code, out, err = run_cli(["rerun", str(manifest)], capsys)
+        assert code == 2 and not out
+        assert f"error: {manifest}: " in err and reason in err
 
     def test_schema_1_manifest_exits_2(self, trained, tmp_path, capsys):
         # Schema 1 recorded only the resolved args, which rerun no longer reads.
@@ -726,19 +763,21 @@ class TestUnusableInput:
 
     @pytest.mark.parametrize("command,flag", [
         ("train", "--input"), ("train", "--test"), ("train", "--val"), ("eval", "--input"),
+        ("stats", "--input"),
     ])
     def test_file_without_usable_documents_exits_2(self, trained, synth_train_csv,
                                                    synth_embeddings, tmp_path, capsys,
                                                    command, flag):
         unusable = tmp_path / "unusable.csv"
         unusable.write_text('x,"label is no integer"\n1\n0,"class zero"\n', encoding="utf-8")
-        files = {"--input": synth_train_csv, "--embeddings": synth_embeddings, flag: unusable}
+        files = {"--input": synth_train_csv, flag: unusable}
+        extra = ["--out", str(tmp_path / "never.json")]
         if command == "train":
-            files["--out-dir"] = tmp_path / "never"
+            files.update({"--embeddings": synth_embeddings, "--out-dir": tmp_path / "never"})
             extra = ["--epochs", "1", "--batch-size", "8", "--limit", "8"]
-        else:
-            files["--checkpoint"] = trained / "model.slcnn"
-            extra = ["--out", str(tmp_path / "never.json")]
+        elif command == "eval":
+            files.update({"--embeddings": synth_embeddings,
+                          "--checkpoint": trained / "model.slcnn"})
         argv = [command] + [str(a) for pair in files.items() for a in pair] + extra
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and not out

@@ -80,13 +80,22 @@ def test_traced_eval_has_the_spans_the_bench_reads(prepared, synth_train_csv,
     assert children[0][4]["layer"] == "hcb1.conv1"
 
 
-def test_traced_train_reads_the_backward_caches(synth_train_csv, synth_embeddings, tmp_path):
+def test_traced_train_reads_the_backward_caches(synth_train_csv, synth_test_csv,
+                                                synth_embeddings, tmp_path):
     # The tracer reads ConvCache.x and PoolCache.axis_index / in_shape.
     spans = _trace(tmp_path, ["train", "--input", str(synth_train_csv),
                               "--embeddings", str(synth_embeddings),
                               "--out-dir", str(tmp_path / "run"), "--limit", "8", "--td", "2",
-                              "--epochs", "1", "--batch-size", "8", "--val-frac", "0"])
+                              "--epochs", "1", "--batch-size", "8", "--val-frac", "0",
+                              "--test", str(synth_test_csv), "--test-limit", "8"])
     conv = [span[4] for span in spans if span[0] == "nn.conv2d_backward"]
     pool = [span[4] for span in spans if span[0] == "nn.maxpool_backward"]
     assert conv and all(attrs["layer"] != "?" and len(attrs["shape"]) == 7 for attrs in conv)
     assert {attrs["axis"] for attrs in pool} == {"horizontal"}
+    names = {span[0] for span in spans}
+    assert {"corpus.build_grid_dataset_from_token_docs", "embedding.load_embeddings",
+            "embedding.embedding_matrix_for_vocab"} <= names
+    # The bench ends the train-side time at the first test evaluation
+    # after training.
+    (train,) = [span for span in spans if span[0] == "model.train"]
+    assert any(span[0] == "model.evaluate" and span[1] > train[2] for span in spans)
