@@ -65,8 +65,11 @@ def load_embeddings(path: str | Path, dim: int) -> EmbeddingTable:
     decimal number with an optional exponent, or inf/infinity/nan, signed
     and in any case, rounded to float64 and then to float32.  That is
     stricter than Python ``float()``: digit-group underscores (``1_0``) and
-    non-ASCII digits are rejected.  loadtxt reads ahead, so when it fails
-    the file is read again one row at a time to name the first bad line.
+    non-ASCII digits are rejected.  A parsed value must be finite in
+    float32, so nan, inf and a number beyond float32's range (``3e40``) are
+    malformed too.  loadtxt reads ahead, so when it fails, or a value is
+    not finite, the file is read again one row at a time to name the first
+    bad line.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
@@ -78,7 +81,7 @@ def load_embeddings(path: str | Path, dim: int) -> EmbeddingTable:
         matrix = np.zeros((0, dim), dtype=np.float32)
     # A line whose values field is empty (dim 1) yields a blank line, which
     # loadtxt skips, so the row count is checked as well.
-    if matrix is not None and matrix.shape == (len(vocab), dim):
+    if matrix is not None and matrix.shape == (len(vocab), dim) and np.isfinite(matrix).all():
         return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
     for line_no, values in _first_rows(path, dim, {}):
         try:
@@ -87,6 +90,11 @@ def load_embeddings(path: str | Path, dim: int) -> EmbeddingTable:
             raise EmbeddingFormatError(f"{path}:{line_no}: {exc}") from None
         if row.shape != (1, dim):
             raise EmbeddingFormatError(f"{path}:{line_no}: empty value field")
+        finite = np.isfinite(row[0])
+        if not finite.all():
+            field = values.split(" ")[int(finite.argmin())].strip()
+            raise EmbeddingFormatError(f"{path}:{line_no}: value {field!r} is not a finite "
+                                       "float32")
     raise EmbeddingFormatError(f"{path}: malformed embedding file")
 
 

@@ -9,14 +9,22 @@ of 2x1 filters that pools along the sentences, mixing adjacent ones before
 the dense head.  After the first conv layer every bank convolves across
 all 128 channels.
 
-Because the HCBs never mix rows, the trunk runs them over the batch's
-sentence rows in blocks of at most ROW_BLOCK rows, which keeps each
-layer's operands in cache.  The blocks are balanced: ceil(R / ROW_BLOCK)
+The HCBs never mix rows, and they compute only the live part of each
+sentence row.  Pad is the zero vector and every HCB op is a 1x2 valid conv
+or a 2-wide pool, so every column whose receptive field is all pad holds
+one constant per HCB, which the trunk computes once per batch on a 4-wide
+all-pad row.  A row with L live words keeps L live columns through each
+conv and ceil(L / 2) through each pool.  The trunk sorts the batch's rows
+by live length and runs them in blocks of at most ROW_BLOCK rows, each on
+the width its longest row needs plus the pad constant's columns; all-pad
+rows take the last constant.  The blocks are balanced: ceil(R / ROW_BLOCK)
 blocks whose sizes differ by at most one, so no block is tiny (BLAS rounds
-tiny GEMMs differently) and a batch of at most ROW_BLOCK rows runs as one
-block.  The backward pass walks the same blocks and adds each block's conv
-weight and bias gradients into the first block's, in block order.  The VCB
-and the dense head run on the whole batch.
+tiny GEMMs differently).  The backward pass walks the same blocks, adds
+their conv gradients in block order, and then adds those of the pad
+constants, into which the gradients of every pad column and all-pad row
+are summed.  A batch of full rows runs exactly the GEMMs of a dense trunk
+over the batch's own row order.  The VCB and the dense head run on the
+whole batch.
 
 Embeddings are frozen and live outside the model; trainable parameters
 are exactly the conv banks and the three dense layers.
@@ -50,8 +58,9 @@ FC_SIZES = {"small": 512, "large": 1024}
 # Sentence rows per block of the HCB trunk.  A block's widest activation
 # (128 x 45 x 128 float32, 2.9 MB) fits a 4 MiB L2 cache, where the whole
 # Yelp-shape batch (1,280 rows, 29 MB) does not.  On a 2-core Xeon at one
-# BLAS thread, 96-160 tied for the fastest training step at the Yelp shape
-# (batch 64, 20 rows per doc) and 32-128 at the AG shape (4 rows per doc).
+# BLAS thread, with length-sorted blocks, 128 gave the fastest training step
+# at the Yelp shape (batch 64, 20 rows per doc; 64-384 tried) and tied 64
+# at the AG shape (4 rows per doc).
 ROW_BLOCK = 128
 
 CHECKPOINT_MAGIC = b"SLCN"
@@ -232,40 +241,102 @@ class Model:
 
     def _conv_trunk(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Trunk features (batch, rows, 1, c) and the caches _backward reads:
-        the row blocks, each block's HCB caches, and the VCB's (or None)."""
+        the HCB trunk's and the VCB's (or None)."""
         batch, rows = x.shape[:2]
-        flat = x.reshape(batch * rows, 1, *x.shape[2:])
-        blocks = _row_blocks(len(flat))
-        outs, block_caches = [], []
-        for block in blocks:
-            y, hcb_caches = self._hcb_forward(flat[block])
-            outs.append(y)
-            block_caches.append(hcb_caches)
-        y = np.concatenate(outs).reshape(batch, rows, 1, -1)
+        y, hcb_cache = self._hcbs(x.reshape(batch * rows, 1, *x.shape[2:]))
+        y = y.reshape(batch, rows, 1, -1)
         vcb_cache = None
         if self.vcb_banks:
             y, vcb_cache = _block_forward(y, self.vcb_banks, nn.VERTICAL)
-        return y, (blocks, block_caches, vcb_cache)
+        return y, (hcb_cache, vcb_cache)
 
-    def _hcb_forward(self, y: np.ndarray) -> tuple[np.ndarray, list]:
-        """The HCBs over one block of sentence rows, shaped (R, 1, 46, c)."""
-        caches = []
-        for i in range(0, len(self.conv_banks), 2):
-            y, cache = _block_forward(y, self.conv_banks[i : i + 2], nn.HORIZONTAL)
+    def _hcbs(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The HCBs over sentence rows (R, 1, words, d): features (R, 1, 1, c)
+        and the caches _hcbs_backward reads.
+
+        Rows are sorted by live length, longest first (ties keep their
+        order), and cut into row blocks.  Each block runs on the columns its
+        longest row needs (see _live_width), and after each pool it is
+        widened with that HCB's pad constant for the next one.  All-pad rows
+        skip the blocks and take the last HCB's constant."""
+        hcbs = self._hcb_banks()
+        pads, pad_caches = self._pad_chain(rows.dtype, rows.shape[3])
+        lengths = _live_lengths(rows)
+        order = np.argsort(-lengths, kind="stable")
+        live_rows = int(np.count_nonzero(lengths))
+        out = np.empty((len(rows), 1, 1, pads[-1].shape[3]), rows.dtype)
+        out[order[live_rows:]] = pads[-1]
+        blocks = []
+        for block in _row_blocks(live_rows):
+            idx = order[block]
+            width = _live_width(int(lengths[idx[0]]), rows.shape[2])
+            if (np.diff(idx) == 1).all():  # consecutive rows: a view, not a copy
+                y = rows[idx[0] : idx[-1] + 1, :, :width]
+            else:
+                y = rows[idx, :, :width]
+            caches, lives = [], []
+            for level, banks in enumerate(hcbs):
+                lives.append(y.shape[2])
+                if level:
+                    y = _widen(y, pads[level - 1], self.config.hcb_widths[level - 1])
+                y, cache = _block_forward(y, banks, nn.HORIZONTAL)
+                caches.append(cache)
+            out[idx] = y
+            blocks.append((idx, caches, lives))
+        return out, (order[live_rows:], blocks, pad_caches)
+
+    def _hcb_banks(self) -> list[list[nn.ConvFilterBank]]:
+        """The two conv banks of each HCB, first HCB first."""
+        return [self.conv_banks[i : i + 2] for i in range(0, len(self.conv_banks), 2)]
+
+    def _pad_chain(self, dtype, dim: int) -> tuple[list[np.ndarray], list]:
+        """Each HCB's output on an all-pad row, one (1, 1, 1, c) constant
+        per HCB, and the caches: every HCB runs on 4 columns of the previous
+        constant (the embedding pad, zeros, for the first)."""
+        y = np.zeros((1, 1, 4, dim), dtype)
+        pads, caches = [], []
+        for banks in self._hcb_banks():
+            pad, cache = _block_forward(y, banks, nn.HORIZONTAL)
+            pads.append(pad)
             caches.append(cache)
-        return y, caches
+            y = np.repeat(pad, 4, axis=2)
+        return pads, caches
 
-    def _hcb_backward(self, caches: list, g: np.ndarray) -> list[np.ndarray]:
-        """Conv-bank gradients of one row block, in param_blocks() order.
+    def _hcbs_backward(self, cache: tuple, g: np.ndarray) -> list[np.ndarray]:
+        """Conv-bank gradients of the HCBs for output gradients g (R, 1, 1, c),
+        in param_blocks() order.
 
-        The first conv reads the frozen embeddings, so its input gradient
-        is never formed."""
-        grads: list[np.ndarray] = []
-        for i in range(len(self.conv_banks) - 2, -1, -2):
-            g, block_grads = _block_backward(
-                self.conv_banks[i : i + 2], caches[i // 2], g, need_input_grad=i > 0
-            )
-            grads[:0] = block_grads
+        Each block's gradients are added in block order.  The gradients
+        that reach a block's pad columns, and the output gradients of the
+        all-pad rows, are summed into their HCB's constant; the constants
+        then backpropagate through the pad chain, last HCB first, and their
+        bank gradients are added after the blocks'.  The first conv reads
+        the frozen embeddings, so its input gradient is never formed."""
+        dead, blocks, pad_caches = cache
+        hcbs = self._hcb_banks()
+        grads = [np.zeros(arr.shape, g.dtype)
+                 for bank in self.conv_banks for arr in (bank.weights, bank.biases)]
+        pad_grads = [np.zeros(g.shape[3], g.dtype) for _ in hcbs]
+
+        def add(level: int, parts: list[np.ndarray]) -> None:
+            for acc, part in zip(grads[4 * level : 4 * level + 4], parts):
+                acc += part
+
+        for idx, caches, lives in blocks:
+            gb = g[idx]
+            for level in reversed(range(len(hcbs))):
+                gb, parts = _block_backward(hcbs[level], caches[level], gb, level > 0)
+                add(level, parts)
+                if level:
+                    pad_grads[level - 1] += gb[:, :, lives[level]:].sum(axis=(0, 1, 2))
+                    gb = gb[:, :, : lives[level]]
+        pad_grads[-1] += g[dead].sum(axis=(0, 1, 2))
+        for level in reversed(range(len(hcbs))):
+            gp, parts = _block_backward(hcbs[level], pad_caches[level],
+                                        pad_grads[level].reshape(1, 1, 1, -1), level > 0)
+            add(level, parts)
+            if level:
+                pad_grads[level - 1] += gp.sum(axis=(0, 1, 2))
         return grads
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -290,7 +361,7 @@ class Model:
 
     def _backward(self, caches: tuple, grad_logits: np.ndarray) -> list[np.ndarray]:
         """Gradients for every parameter block, aligned with param_blocks()."""
-        (blocks, block_caches, vcb_cache), pre_flatten_shape, head_caches, out_cache = caches
+        (hcb_cache, vcb_cache), pre_flatten_shape, head_caches, out_cache = caches
         (dc1, mask1), (dc2, mask2) = head_caches
         g, out_w, out_b = nn.dense_backward(self.out, out_cache, grad_logits)
         g, fc2_w, fc2_b = nn.dense_backward(self.fc2, dc2, g * mask2)
@@ -300,13 +371,7 @@ class Model:
         vcb_grads = []
         if vcb_cache is not None:
             g, vcb_grads = _block_backward(self.vcb_banks, vcb_cache, g)
-        g = g.reshape(-1, 1, 1, g.shape[-1])
-        # Block gradients are summed into the first block's arrays in block
-        # order, so the sum is fixed by the batch's row count.
-        conv_grads = self._hcb_backward(block_caches[0], g[blocks[0]])
-        for block, hcb_caches in zip(blocks[1:], block_caches[1:]):
-            for acc, part in zip(conv_grads, self._hcb_backward(hcb_caches, g[block])):
-                acc += part
+        conv_grads = self._hcbs_backward(hcb_cache, g.reshape(-1, 1, 1, g.shape[-1]))
         return conv_grads + vcb_grads + [fc1_w, fc1_b, fc2_w, fc2_b, out_w, out_b]
 
 
@@ -336,10 +401,37 @@ def _row_blocks(rows: int) -> list[slice]:
     """ceil(rows / ROW_BLOCK) consecutive blocks whose sizes differ by at
     most one, the shorter ones last: no block is much smaller than the
     others, and a batch of at most ROW_BLOCK rows is one block."""
-    count = max(1, -(-rows // ROW_BLOCK))
-    size, extra = divmod(rows, count)
+    count = -(-rows // ROW_BLOCK)
+    size, extra = divmod(rows, max(count, 1))
     edges = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _live_lengths(rows: np.ndarray) -> np.ndarray:
+    """Live words of each sentence row (R, 1, words, d): 1 plus the index of
+    its last column that is not all zeros, or 0 for an all-pad row.  A word
+    whose vector is all zeros after the last live one computes exactly what
+    pad computes, so it counts as pad."""
+    nonzero = (rows[:, 0] != 0).any(axis=2)
+    last = nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+    return np.where(nonzero.any(axis=1), last, 0)
+
+
+def _live_width(live: int, width: int) -> int:
+    """Columns an HCB needs for rows of at most *live* live columns out of
+    *width*: 2 * ceil(live / 2) + 2, capped at *width*.  Its pool then
+    yields ceil(live / 2) columns, or all of them: every column whose
+    receptive field holds a live column."""
+    return min(live + live % 2 + 2, width)
+
+
+def _widen(y: np.ndarray, pad: np.ndarray, width: int) -> np.ndarray:
+    """Block *y* (R, 1, live, c), widened with columns of the constant *pad*
+    to the columns the next HCB needs out of its *width*."""
+    extra = _live_width(y.shape[2], width) - y.shape[2]
+    if not extra:
+        return y
+    return np.concatenate([y, np.broadcast_to(pad, (len(y), 1, extra, y.shape[3]))], axis=2)
 
 
 # --------------------------------------------------------------------------

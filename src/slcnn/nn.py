@@ -11,11 +11,13 @@ it as divergence: non-finite logits and non-finite gradients.
 
 Determinism contract: every op is a fixed sequence of numpy calls on its
 operands.  Convolution adds one matmul over the channel axis per filter
-tap, in row-major (a, b) order; the model runs its HCB trunk in row blocks
-(see model.py) and sums their weight gradients in block order, so the
-summation order is fixed by the operand shapes.  Reductions never depend on
-the iteration order of hashes or sets.  With a fixed BLAS thread count,
-results are bit-identical across runs.
+tap, in row-major (a, b) order; the model runs its HCB trunk in
+length-sorted row blocks (see model.py) and sums their weight gradients in
+block order, then those of the pad constants.  The GEMM shapes, and so the
+rounding, depend on each batch's mix of sentence lengths, but that mix is a
+function of the batch's values, so the summation order is too.  Reductions
+never depend on the iteration order of hashes or sets.  With a fixed BLAS
+thread count, results are bit-identical across runs.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slcnn import nn
+from slcnn import model, nn
 from slcnn.corpus import RawDocument, preprocess_document
 from slcnn.embedding import EmbeddingFormatError, EmbeddingTable, oov_vector
 from slcnn.model import Model, ModelConfig, build_model
@@ -209,7 +209,8 @@ def defective_checkpoint(raw: bytes, defect: str) -> bytes:
 def load_embeddings_per_line(path: Path, dim: int) -> tuple[dict[str, int], np.ndarray]:
     """The embedding-file oracle: one ``split(" ")`` and one ``np.array``
     per line.  Returns (vocab, matrix) with first occurrences kept, or raises
-    EmbeddingFormatError naming the first malformed line."""
+    EmbeddingFormatError naming the first malformed line; a value that is
+    not finite in float32 is malformed."""
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
     with path.open("r", encoding="utf-8") as handle:
@@ -225,6 +226,8 @@ def load_embeddings_per_line(path: Path, dim: int) -> tuple[dict[str, int], np.n
                     vec = np.array(parts[1:], dtype=np.float32)
             except ValueError as exc:
                 raise EmbeddingFormatError(f"{path}:{line_no}: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise EmbeddingFormatError(f"{path}:{line_no}: non-finite value")
             vocab[token] = len(rows)
             rows.append(vec)
     matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
@@ -500,6 +503,43 @@ def with_dtype(net: Model, dtype) -> Model:
     )
 
 
+class DenseTrunkModel(Model):
+    """The HCB trunk oracle: every sentence row over all its columns, pad
+    included, in row blocks of the batch's own order.  Block gradients are
+    summed in block order, into the first block's arrays."""
+
+    def _hcbs(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        blocks = model._row_blocks(len(rows))
+        outs, block_caches = [], []
+        for block in blocks:
+            y, caches = rows[block], []
+            for banks in self._hcb_banks():
+                y, cache = model._block_forward(y, banks, nn.HORIZONTAL)
+                caches.append(cache)
+            outs.append(y)
+            block_caches.append(caches)
+        return np.concatenate(outs), (blocks, block_caches)
+
+    def _hcbs_backward(self, cache: tuple, g: np.ndarray) -> list[np.ndarray]:
+        total = None
+        for block, caches in zip(*cache):
+            gb, grads = g[block], []
+            for level, banks in reversed(list(enumerate(self._hcb_banks()))):
+                gb, parts = model._block_backward(banks, caches[level], gb, level > 0)
+                grads[:0] = parts
+            if total is None:
+                total = grads
+            else:
+                for acc, part in zip(total, grads):
+                    acc += part
+        return total
+
+
+def dense_oracle(net: Model) -> DenseTrunkModel:
+    """*net* with the dense HCB trunk; the two share every parameter array."""
+    return DenseTrunkModel(net.config, net.conv_banks, net.vcb_banks, net.fc1, net.fc2, net.out)
+
+
 def features(net: Model, x: np.ndarray) -> np.ndarray:
     """Pre-flatten feature map (eval mode): one feature vector per row."""
     return net._conv_trunk(x)[0]
@@ -528,9 +568,12 @@ def network_margins(net: Model, x: np.ndarray) -> float:
             sl_a[ax] = slice(0, 2 * pairs, 2)
             sl_b[ax] = slice(1, 2 * pairs, 2)
             a, b = y[tuple(sl_a)], y[tuple(sl_b)]
-            live = np.maximum(a, b) > 0
-            if live.any():
-                smallest = min(smallest, float(np.abs(a - b)[live].min()))
+            # Two pad columns, or two all-pad rows, hold one function of the
+            # parameters, so their tie is no kink; only rounding parts them.
+            gaps = np.abs(a - b)[np.maximum(a, b) > 0]
+            gaps = gaps[gaps > 1e-12]
+            if gaps.size:
+                smallest = min(smallest, float(gaps.min()))
             y, _ = nn.maxpool_forward(y, axis)
     flat = y.reshape(len(y), -1)
     for layer in (net.fc1, net.fc2):
@@ -540,9 +583,30 @@ def network_margins(net: Model, x: np.ndarray) -> float:
     return smallest
 
 
-def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn") -> float:
+def pad_rows(x: np.ndarray, lengths) -> np.ndarray:
+    """*x* (batch, doc_len, words, d) with the words of row (i, j) from
+    lengths[i][j] on set to the pad vector, zeros."""
+    pad = np.arange(x.shape[2]) >= np.asarray(lengths)[..., None]
+    x[pad] = 0
+    return x
+
+
+def randomize_biases(net: Model, rng: np.random.Generator) -> Model:
+    """Draw every bias from N(0, 0.1): with the zero initial biases every pad
+    constant is 0 and sits on a ReLU kink, so the constant chain's
+    gradients would all be 0."""
+    for name, arr in net.param_blocks():
+        if name.endswith(".b"):
+            arr[...] = rng.normal(0.0, 0.1, arr.shape)
+    return net
+
+
+def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn",
+                          lengths=None) -> float:
     """Max relative FD error over every parameter of a shrunken full network
-    (num_filters=4, fc_size=8, 3 classes) in float64, ties excluded."""
+    (num_filters=4, fc_size=8, 3 classes) in float64, ties excluded.  With
+    *lengths* (batch, doc_len), row (i, j) keeps its first lengths[i][j]
+    words and the rest is pad, and the biases are nonzero."""
     cfg = ModelConfig(
         variant=variant, doc_len=doc_len, num_classes=3, fc_size=8, num_filters=4,
         seed=0, dropout_rate=0.0,
@@ -555,6 +619,9 @@ def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn") 
         rng = np.random.default_rng(500 + seed)
         x = rng.normal(size=(batch, doc_len, 46, 100))
         labels = rng.integers(0, 3, size=batch)
+        if lengths is not None:
+            pad_rows(x, lengths)
+            randomize_biases(net64, rng)
         if network_margins(net64, x) > 3e-4:
             break
     else:

@@ -761,6 +761,32 @@ class TestUnusableInput:
         assert f"{path}:{line}: not UTF-8 text" in err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "3e40"])
+    @pytest.mark.parametrize("command", ["predict", "eval", "train"])
+    def test_non_finite_embedding_value_names_its_line(self, trained, synth_train_csv,
+                                                       synth_embeddings, tmp_path, capsys,
+                                                       command, value):
+        # The vector of "stocks", a word of the text and of the documents,
+        # holds one value that is not a finite float32.
+        lines = synth_embeddings.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("stocks "))
+        fields = lines[at].split(" ")
+        fields[3] = value
+        lines[at] = " ".join(fields)
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        checkpoint = str(trained / "model.slcnn")
+        argv = {
+            "predict": ["predict", "--checkpoint", checkpoint, "--text", "Stocks fell."],
+            "eval": ["eval", "--checkpoint", checkpoint, "--input", str(synth_train_csv),
+                     "--limit", "8"],
+            "train": ["train", "--input", str(synth_train_csv), "--limit", "8",
+                      "--out-dir", str(tmp_path / "run")],
+        }[command]
+        code, out, err = run_cli([*argv, "--embeddings", str(path)], capsys)
+        assert code == 2 and not out
+        assert f"{path}:{at + 1}: value {value!r} is not a finite float32" in err
+
     @pytest.mark.parametrize("command,flag", [
         ("train", "--input"), ("train", "--test"), ("train", "--val"), ("eval", "--input"),
         ("stats", "--input"),

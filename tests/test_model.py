@@ -50,13 +50,16 @@ PUBLISHED_K = {
 
 def random_dataset(
     n: int, doc_len: int, num_classes: int, seed: int, vocab: int = 50,
-    sent_len: int = 46, dim: int = 100,
+    sent_len: int = 46, dim: int = 100, padded: bool = False,
 ) -> EmbeddedDataset:
+    """Random ids; *padded* keeps 0 to sent_len words of each row, then pad."""
     rng = np.random.default_rng(seed)
     grids = rng.integers(0, vocab + 1, size=(n, doc_len, sent_len)).astype(np.int32)
     labels = rng.integers(0, num_classes, size=n).astype(np.int64)
     matrix = rng.normal(0, 0.4, size=(vocab + 1, dim)).astype(F32)
     matrix[0] = 0
+    if padded:
+        grids[np.arange(sent_len) >= rng.integers(0, sent_len + 1, (n, doc_len, 1))] = 0
     return EmbeddedDataset(grids=grids, labels=labels, matrix=matrix)
 
 
@@ -493,6 +496,109 @@ class TestRowBlocks:
         for i in range(len(x)):
             np.testing.assert_allclose(batched[i : i + 1], helpers.features(net, x[i : i + 1]),
                                        rtol=0, atol=1e-6)
+
+
+# --------------------------------------------------------------------------
+# The length-aware HCB trunk against the dense oracle
+# --------------------------------------------------------------------------
+
+# Live words per row, doc_len 4: every edge length, one odd middle length,
+# all-pad rows between live ones, and one all-pad document.  At ROW_BLOCK 3
+# the 7 live rows sort into blocks (46, 45, 44), (17, 3), (2, 1), so the
+# second document's rows land in all three.
+MIXED_LENGTHS = [[46, 0, 1, 45], [2, 17, 44, 3], [0, 0, 0, 0]]
+
+
+def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest difference relative to the oracle's largest magnitude."""
+    scale = float(np.abs(b).max())
+    return float(np.abs(a - b).max()) / scale if scale else float(np.abs(a).max())
+
+
+def _logits_and_grads(net: Model, x: np.ndarray, labels: np.ndarray):
+    logits, caches = net._forward_with_caches(x, None)
+    _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+    return logits, net._backward(caches, grad_logits)
+
+
+class TestLengthAwareTrunk:
+    @pytest.fixture(params=[128, 3], ids=["block128", "block3"])
+    def row_block(self, request, monkeypatch):
+        monkeypatch.setattr(model, "ROW_BLOCK", request.param)
+
+    @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
+    def test_float64_matches_dense_oracle(self, row_block, variant):
+        rng = np.random.default_rng(60)
+        cfg = ModelConfig(variant=variant, doc_len=4, num_classes=3, num_filters=16,
+                          embed_dim=12, fc_size=16, dropout_rate=0.0)
+        net = helpers.randomize_biases(helpers.with_dtype(build_model(cfg), np.float64), rng)
+        x = helpers.pad_rows(rng.normal(size=(3, 4, 46, 12)), MIXED_LENGTHS)
+        labels = np.array([0, 1, 2])
+        logits, grads = _logits_and_grads(net, x, labels)
+        want_logits, want_grads = _logits_and_grads(helpers.dense_oracle(net), x, labels)
+        assert _max_rel(logits, want_logits) < 1e-10
+        for (name, _), got, want in zip(net.param_blocks(), grads, want_grads):
+            assert _max_rel(got, want) < 1e-10, name
+
+    @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
+    def test_gradients_on_padded_rows(self, row_block, variant):
+        assert helpers.end_to_end_grad_check(doc_len=4, batch=3, variant=variant,
+                                             lengths=MIXED_LENGTHS) < 1e-5
+
+    @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
+    def test_float32_eval_logits_match_dense_oracle(self, row_block, variant):
+        rng = np.random.default_rng(61)
+        net = helpers.randomize_biases(
+            build_model(ModelConfig(variant=variant, doc_len=4, num_classes=4)), rng)
+        x = helpers.pad_rows(rng.normal(0, 0.4, size=(3, 4, 46, 100)).astype(F32),
+                             MIXED_LENGTHS)
+        np.testing.assert_allclose(net.forward(x), helpers.dense_oracle(net).forward(x),
+                                   rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
+    def test_full_rows_bit_identical_to_dense_oracle(self, row_block, variant):
+        rng = np.random.default_rng(62)
+        net = helpers.randomize_biases(
+            build_model(ModelConfig(variant=variant, doc_len=4, num_classes=4,
+                                    num_filters=32, fc_size=64)), rng)
+        x = rng.normal(0, 0.4, size=(5, 4, 46, 100)).astype(F32)
+        labels = rng.integers(0, 4, size=5)
+        logits, grads = _logits_and_grads(net, x, labels)
+        want_logits, want_grads = _logits_and_grads(helpers.dense_oracle(net), x, labels)
+        assert np.array_equal(logits, want_logits)
+        for (name, _), got, want in zip(net.param_blocks(), grads, want_grads):
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative_zero"])
+    @pytest.mark.parametrize("at", ["sentence_end", "mid_sentence"])
+    def test_zero_vector_word_gives_oracle_logits(self, zero, at):
+        rng = np.random.default_rng(63)
+        cfg = ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, num_filters=16,
+                          embed_dim=12, fc_size=16)
+        net = helpers.randomize_biases(helpers.with_dtype(build_model(cfg), np.float64), rng)
+        x = helpers.pad_rows(rng.normal(size=(3, 4, 46, 12)), MIXED_LENGTHS)
+        word = {"sentence_end": 16, "mid_sentence": 8}[at]  # row (1, 1) has 17 words
+        x[1, 1, word] = zero
+        logits = net.forward(x)
+        assert _max_rel(logits, helpers.dense_oracle(net).forward(x)) < 1e-10
+        x[1, 1, word] = 0.0
+        assert np.array_equal(logits, net.forward(x))
+
+    def test_same_seed_training_on_padded_rows_bit_identical(self, row_block):
+        data = random_dataset(12, 4, 3, seed=64, padded=True)
+
+        def run():
+            cfg = ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, seed=7,
+                              epochs=2, batch_size=5, num_filters=16, fc_size=32)
+            net = build_model(cfg)
+            report = train(net, data)
+            return report.train_loss, net.param_values()
+
+        loss_a, params_a = run()
+        loss_b, params_b = run()
+        assert loss_a == loss_b
+        for a, b in zip(params_a, params_b):
+            assert np.array_equal(a, b)
 
 
 # --------------------------------------------------------------------------

@@ -78,6 +78,10 @@ def test_traced_eval_has_the_spans_the_bench_reads(prepared, synth_train_csv,
     # build_model hook over param_blocks(), starts.
     assert children[0][0] == "nn.conv2d_forward"
     assert children[0][4]["layer"] == "hcb1.conv1"
+    # Per-layer times are keyed by bank: every conv call, the pad-row
+    # constants' included, runs on a bank of the model.
+    conv = [span[4] for span in spans if span[0] == "nn.conv2d_forward"]
+    assert conv and all(attrs["layer"] != "?" for attrs in conv)
 
 
 def test_traced_train_reads_the_backward_caches(synth_train_csv, synth_test_csv,
@@ -91,6 +95,8 @@ def test_traced_train_reads_the_backward_caches(synth_train_csv, synth_test_csv,
     conv = [span[4] for span in spans if span[0] == "nn.conv2d_backward"]
     pool = [span[4] for span in spans if span[0] == "nn.maxpool_backward"]
     assert conv and all(attrs["layer"] != "?" and len(attrs["shape"]) == 7 for attrs in conv)
+    conv_fwd = [span[4] for span in spans if span[0] == "nn.conv2d_forward"]
+    assert conv_fwd and all(attrs["layer"] != "?" for attrs in conv_fwd)
     assert {attrs["axis"] for attrs in pool} == {"horizontal"}
     names = {span[0] for span in spans}
     assert {"corpus.build_grid_dataset_from_token_docs", "embedding.load_embeddings",
