@@ -168,16 +168,18 @@ def _tokenized(docs) -> list[tuple[int, list[list[str]]]]:
 def _embedded(emb_path: Path, dim: int, doc_len: int, sent_len: int, *doc_sets):
     """One EmbeddedDataset per set of (label, sentences) documents, or None
     for an empty set.  All sets share one grid vocabulary and one embedding
-    matrix; the embedding file is parsed once, after the grid is built, and
-    its table is dropped on return."""
+    matrix.  The embedding file is read once, after the grid is built, and
+    only the rows of the grid vocabulary's tokens are parsed; the table is
+    dropped on return."""
     from . import corpus, embedding, model as m
 
     grid = corpus.build_grid_dataset_from_token_docs(
         (doc for docs in doc_sets for doc in docs), doc_len, sent_len
     )
     log.info("loading embeddings from %s", emb_path)
-    table = embedding.load_embeddings(emb_path, dim)
-    log.info("%d embedding rows, dim %d", len(table.vocab), table.dim)
+    table = embedding.load_embeddings(emb_path, dim, set(grid.vocab))
+    log.info("%d of %d vocabulary tokens found in %s (dim %d)",
+             len(table.vocab), len(grid.vocab), emb_path, table.dim)
     full = m.EmbeddedDataset.build(grid, table)
     views, start = [], 0
     for docs in doc_sets:

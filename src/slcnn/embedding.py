@@ -1,8 +1,10 @@
 """Pretrained word vectors, and the rows a grid dataset's vocabulary indexes.
 
-Embeddings are frozen: they contribute no trainable parameters.  Tokens
-missing from the table get a deterministic random vector drawn uniformly
-from [-0.01, 0.01], keyed by the token alone, so the draw is independent of
+Embeddings are frozen: they contribute no trainable parameters.  A run
+parses only the rows of the tokens its grid vocabulary holds; every line of
+the file is still checked for its field count and UTF-8.  Tokens missing
+from the table get a deterministic random vector drawn uniformly from
+[-0.01, 0.01], keyed by the token alone, so the draw is independent of
 vocabulary order and process restarts and no setting can change it.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,38 +54,45 @@ def oov_vector(token: str, dim: int) -> np.ndarray:
     return vec
 
 
-def load_embeddings(path: str | Path, dim: int) -> EmbeddingTable:
+def load_embeddings(path: str | Path, dim: int,
+                    tokens: AbstractSet[str] | None = None) -> EmbeddingTable:
     """Parse a text embedding file: one token plus *dim* values per line.
 
-    Fields are separated by single spaces, so a line is well formed when it
-    holds exactly *dim* spaces.  Duplicate tokens keep their first
-    occurrence, and the values of a later duplicate are not parsed.  Any
-    malformed line raises EmbeddingFormatError naming ``path:line``.
+    With *tokens*, the table holds only the rows of those tokens that the
+    file has, and only their values are parsed; None keeps every token.
 
-    The values of all first occurrences go through one ``np.loadtxt`` call,
-    so every float conversion runs in numpy's C parser.  Its grammar is a
-    decimal number with an optional exponent, or inf/infinity/nan, signed
-    and in any case, rounded to float64 and then to float32.  That is
-    stricter than Python ``float()``: digit-group underscores (``1_0``) and
-    non-ASCII digits are rejected.  A parsed value must be finite in
-    float32, so nan, inf and a number beyond float32's range (``3e40``) are
-    malformed too.  loadtxt reads ahead, so when it fails, or a value is
-    not finite, the file is read again one row at a time to name the first
-    bad line.
+    Every line is checked for UTF-8 and its field count: fields are
+    separated by single spaces, so a line is well formed when it holds
+    exactly *dim* spaces.  Duplicate tokens keep their first occurrence,
+    and the values of a later duplicate are not parsed.  The values of
+    each kept token's first line must be numbers that are finite in
+    float32; a bad number on a line whose token is not kept is not an
+    error.  Any malformed line raises EmbeddingFormatError naming
+    ``path:line``.
+
+    The kept values go through one ``np.loadtxt`` call, so every float
+    conversion runs in numpy's C parser.  Its grammar is a decimal number
+    with an optional exponent, or inf/infinity/nan, signed and in any case,
+    rounded to float64 and then to float32.  That is stricter than Python
+    ``float()``: digit-group underscores (``1_0``) and non-ASCII digits are
+    rejected.  A parsed value must be finite in float32, so nan, inf and a
+    number beyond float32's range (``3e40``) are malformed too.  loadtxt
+    reads ahead, so when it fails, or a value is not finite, the file is
+    read again one row at a time to name the first bad line.
     """
     path = Path(path)
     vocab: dict[str, int] = {}
     try:
-        matrix = _parse_values(values for _, values in _first_rows(path, dim, vocab))
+        matrix = _parse_values(values for _, values in _first_rows(path, dim, vocab, tokens))
     except ValueError:
         matrix = None
-    if matrix is not None and not vocab:  # an empty file
+    if matrix is not None and not vocab:  # no kept row, or an empty file
         matrix = np.zeros((0, dim), dtype=np.float32)
     # A line whose values field is empty (dim 1) yields a blank line, which
     # loadtxt skips, so the row count is checked as well.
     if matrix is not None and matrix.shape == (len(vocab), dim) and np.isfinite(matrix).all():
         return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
-    for line_no, values in _first_rows(path, dim, {}):
+    for line_no, values in _first_rows(path, dim, {}, tokens):
         try:
             row = _parse_values([values])
         except ValueError as exc:
@@ -98,9 +107,11 @@ def load_embeddings(path: str | Path, dim: int) -> EmbeddingTable:
     raise EmbeddingFormatError(f"{path}: malformed embedding file")
 
 
-def _first_rows(path: Path, dim: int, vocab: dict[str, int]) -> Iterator[tuple[int, str]]:
-    """(line number, values field) of each token's first line, entering the
-    token in *vocab*; a line without exactly *dim* values raises."""
+def _first_rows(path: Path, dim: int, vocab: dict[str, int],
+                tokens: AbstractSet[str] | None) -> Iterator[tuple[int, str]]:
+    """(line number, values field) of the first line of each token in
+    *tokens* (of every token, for None), entering the token in *vocab*; any
+    line without exactly *dim* values raises."""
     with path.open("r", encoding="utf-8") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
@@ -108,7 +119,7 @@ def _first_rows(path: Path, dim: int, vocab: dict[str, int]) -> Iterator[tuple[i
                     raise EmbeddingFormatError(f"{path}:{line_no}: expected token + {dim} "
                                                f"values, got {line.count(' ') + 1} fields")
                 token, _, values = line.partition(" ")
-                if token not in vocab:
+                if token not in vocab and (tokens is None or token in tokens):
                     vocab[token] = len(vocab)
                     yield line_no, values
         except UnicodeDecodeError as exc:

@@ -239,20 +239,21 @@ class Model:
 
     # -- forward / backward -------------------------------------------------
 
-    def _conv_trunk(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _conv_trunk(self, x: np.ndarray, train: bool) -> tuple[np.ndarray, tuple]:
         """Trunk features (batch, rows, 1, c) and the caches _backward reads:
         the HCB trunk's and the VCB's (or None)."""
         batch, rows = x.shape[:2]
-        y, hcb_cache = self._hcbs(x.reshape(batch * rows, 1, *x.shape[2:]))
+        y, hcb_cache = self._hcbs(x.reshape(batch * rows, 1, *x.shape[2:]), train)
         y = y.reshape(batch, rows, 1, -1)
         vcb_cache = None
         if self.vcb_banks:
             y, vcb_cache = _block_forward(y, self.vcb_banks, nn.VERTICAL)
         return y, (hcb_cache, vcb_cache)
 
-    def _hcbs(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _hcbs(self, rows: np.ndarray, train: bool) -> tuple[np.ndarray, tuple]:
         """The HCBs over sentence rows (R, 1, words, d): features (R, 1, 1, c)
-        and the caches _hcbs_backward reads.
+        and the caches _hcbs_backward reads, which hold no block's conv and
+        pool caches unless *train*.
 
         Rows are sorted by live length, longest first (ties keep their
         order), and cut into row blocks.  Each block runs on the columns its
@@ -280,7 +281,8 @@ class Model:
                 if level:
                     y = _widen(y, pads[level - 1], self.config.hcb_widths[level - 1])
                 y, cache = _block_forward(y, banks, nn.HORIZONTAL)
-                caches.append(cache)
+                if train:  # eval holds one level's caches at a time
+                    caches.append(cache)
             out[idx] = y
             blocks.append((idx, caches, lives))
         return out, (order[live_rows:], blocks, pad_caches)
@@ -346,8 +348,9 @@ class Model:
     def _forward_with_caches(
         self, x: np.ndarray, rng: np.random.Generator | None
     ) -> tuple[np.ndarray, tuple]:
-        """Logits and caches; dropout draws from *rng*, and None is eval."""
-        y, trunk_caches = self._conv_trunk(x)
+        """Logits and caches; dropout draws from *rng*.  None is eval, whose
+        caches lack the HCB blocks' and cannot be backpropagated."""
+        y, trunk_caches = self._conv_trunk(x, rng is not None)
         pre_flatten_shape = y.shape
         # Row-major over (row, channel): row 0's channels, then row 1's.
         y = y.reshape(len(y), -1)

@@ -206,11 +206,14 @@ def defective_checkpoint(raw: bytes, defect: str) -> bytes:
 # Independent oracles
 # --------------------------------------------------------------------------
 
-def load_embeddings_per_line(path: Path, dim: int) -> tuple[dict[str, int], np.ndarray]:
-    """The embedding-file oracle: one ``split(" ")`` and one ``np.array``
-    per line.  Returns (vocab, matrix) with first occurrences kept, or raises
-    EmbeddingFormatError naming the first malformed line; a value that is
-    not finite in float32 is malformed."""
+def load_embeddings_per_line(path: Path, dim: int, tokens: set[str] | None = None
+                             ) -> tuple[dict[str, int], np.ndarray]:
+    """The embedding-file oracle: one ``split(" ")`` per line, and one
+    ``np.array`` per first line of a token in *tokens* (of any token, for
+    None).  Returns (vocab, matrix) with first occurrences kept, or raises
+    EmbeddingFormatError naming the first malformed line: a wrong field
+    count on any line, or a bad value on a parsed one; a value that is not
+    finite in float32 is malformed."""
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
     with path.open("r", encoding="utf-8") as handle:
@@ -219,7 +222,7 @@ def load_embeddings_per_line(path: Path, dim: int) -> tuple[dict[str, int], np.n
             if len(parts) != dim + 1:
                 raise EmbeddingFormatError(f"{path}:{line_no}: wrong field count")
             token = parts[0]
-            if token in vocab:
+            if token in vocab or (tokens is not None and token not in tokens):
                 continue
             try:
                 with np.errstate(over="ignore"):  # 3e40 -> inf, as in numpy's reader
@@ -508,7 +511,7 @@ class DenseTrunkModel(Model):
     included, in row blocks of the batch's own order.  Block gradients are
     summed in block order, into the first block's arrays."""
 
-    def _hcbs(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _hcbs(self, rows: np.ndarray, train: bool) -> tuple[np.ndarray, tuple]:
         blocks = model._row_blocks(len(rows))
         outs, block_caches = [], []
         for block in blocks:
@@ -542,7 +545,7 @@ def dense_oracle(net: Model) -> DenseTrunkModel:
 
 def features(net: Model, x: np.ndarray) -> np.ndarray:
     """Pre-flatten feature map (eval mode): one feature vector per row."""
-    return net._conv_trunk(x)[0]
+    return net._conv_trunk(x, False)[0]
 
 
 def network_margins(net: Model, x: np.ndarray) -> float:
@@ -627,7 +630,9 @@ def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn",
     else:
         raise AssertionError("no tie-free instance found")
 
-    logits, caches = net64._forward_with_caches(x, None)
+    # A generator selects the training path, which keeps the caches
+    # _backward reads; at dropout rate 0 it draws nothing.
+    logits, caches = net64._forward_with_caches(x, np.random.default_rng(0))
     _, grad_logits = nn.softmax_cross_entropy(logits, labels)
     grads = net64._backward(caches, grad_logits)
     blocks = net64.param_blocks()

@@ -811,6 +811,102 @@ class TestUnusableInput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["unusable.csv"]
 
 
+def _with_line(good: bytes, line: bytes) -> tuple[bytes, int]:
+    """*good* with *line* inserted in the middle, and its line number."""
+    lines = good.splitlines(keepends=True)
+    at = len(lines) // 2
+    return b"".join(lines[:at] + [line + b"\n"] + lines[at:]), at + 1
+
+
+class TestUnusedEmbeddingRows:
+    """A run parses the values of the tokens it uses only; every line is
+    still checked for UTF-8 and its field count."""
+
+    UNUSED = b"zzunused"  # no document or text holds it
+
+    @pytest.fixture
+    def argv(self, trained, synth_train_csv, tmp_path) -> dict[str, list[str]]:
+        checkpoint = str(trained / "model.slcnn")
+        return {
+            "predict": ["predict", "--checkpoint", checkpoint, "--text", "Stocks fell."],
+            "eval": ["eval", "--checkpoint", checkpoint, "--input", str(synth_train_csv),
+                     "--limit", "8"],
+            "train": ["train", "--input", str(synth_train_csv), "--limit", "8", "--epochs", "1",
+                      "--batch-size", "8", "--out-dir", str(tmp_path / "run")],
+        }
+
+    @pytest.mark.parametrize("value", ["nan", "3e40", "oops"])
+    @pytest.mark.parametrize("command", ["predict", "eval", "train"])
+    def test_bad_number_changes_no_output(self, argv, synth_embeddings, tmp_path, capsys,
+                                          command, value):
+        path = tmp_path / "vectors.txt"
+        bad_line = b" ".join([self.UNUSED, *[b"0.5"] * 99, value.encode()])
+        path.write_bytes(_with_line(synth_embeddings.read_bytes(), bad_line)[0])
+        runs = []
+        for emb in (synth_embeddings, path):
+            code, out, _ = run_cli([*argv[command], "--embeddings", str(emb)], capsys)
+            checkpoints = sorted((p.name, p.read_bytes()) for p in tmp_path.glob("run/*.slcnn"))
+            runs.append((code, out, checkpoints))
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("line", [UNUSED + b" 0.5", b"caf\xe9" + b" 0.5" * 100],
+                             ids=["field_count", "not_utf8"])
+    @pytest.mark.parametrize("command", ["predict", "eval", "train"])
+    def test_malformed_line_still_exits_2(self, argv, synth_embeddings, tmp_path, capsys,
+                                          command, line):
+        path = tmp_path / "vectors.txt"
+        data, line_no = _with_line(synth_embeddings.read_bytes(), line)
+        path.write_bytes(data)
+        code, out, err = run_cli([*argv[command], "--embeddings", str(path)], capsys)
+        assert code == 2 and not out
+        assert f"{path}:{line_no}: " in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.fixture
+    def parsed_rows(self, monkeypatch) -> list[int]:
+        """Rows handed to the value parser, one count per call."""
+        counts, parse = [], embedding._parse_values
+
+        def counting(lines):
+            lines = list(lines)
+            counts.append(len(lines))
+            return parse(lines)
+
+        monkeypatch.setattr(embedding, "_parse_values", counting)
+        return counts
+
+    @pytest.fixture
+    def padded(self, synth_embeddings, tmp_path) -> Path:
+        """The vectors plus 500 rows of tokens no run uses, so a full parse
+        hands the parser far more rows than any vocabulary here holds."""
+        path = tmp_path / "padded.txt"
+        extra = "".join(f"unused{i} " + " ".join(["0.5"] * 100) + "\n" for i in range(500))
+        path.write_text(synth_embeddings.read_text(encoding="utf-8") + extra, encoding="utf-8")
+        return path
+
+    def test_predict_parses_only_the_text_tokens(self, argv, padded, parsed_rows, capsys):
+        text = "Stocks fell."
+        doc = corpus.preprocess_document(corpus.RawDocument(0, [text]))
+        code, _, _ = run_cli([*argv["predict"], "--embeddings", str(padded)], capsys)
+        assert code == 0
+        assert sum(parsed_rows) <= len({token for sentence in doc for token in sentence})
+
+    def test_eval_parses_at_most_the_grid_vocabulary(self, argv, padded, parsed_rows,
+                                                     monkeypatch, capsys):
+        vocab_sizes, build = [], corpus.build_grid_dataset_from_token_docs
+
+        def spy(*args):
+            grid = build(*args)
+            vocab_sizes.append(len(grid.vocab))
+            return grid
+
+        monkeypatch.setattr(corpus, "build_grid_dataset_from_token_docs", spy)
+        code, _, _ = run_cli([*argv["eval"], "--embeddings", str(padded)], capsys)
+        assert code == 0 and len(vocab_sizes) == 1
+        assert sum(parsed_rows) <= vocab_sizes[0]
+
+
 class TestAtomicWrites:
     @pytest.fixture
     def failing_replace(self, monkeypatch):

@@ -210,13 +210,13 @@ def _outcome(load, path: Path):
     return ("ok", vocab, matrix.shape, matrix.view(np.uint32).tobytes())
 
 
-def _both(path: Path, dim: int):
+def _both(path: Path, dim: int, tokens: set[str] | None = None):
     def new(p):
-        table = load_embeddings(p, dim)
+        table = load_embeddings(p, dim, tokens)
         return table.vocab, table.matrix
 
-    return _outcome(new, path), _outcome(lambda p: helpers.load_embeddings_per_line(p, dim),
-                                         path)
+    return _outcome(new, path), _outcome(
+        lambda p: helpers.load_embeddings_per_line(p, dim, tokens), path)
 
 
 MALFORMED = {
@@ -291,3 +291,60 @@ class TestOnePassParser:
             new, oracle = _both(path, 2)
             assert new == oracle
             assert new[0] == "ok"
+
+
+@st.composite
+def filtered_lines(draw) -> tuple[int, list[str], set[str]]:
+    """embedding_lines, perhaps with one MALFORMED line, and a token set:
+    tokens of the file, duplicated ones among them, and tokens it lacks."""
+    dim, lines = draw(embedding_lines())
+    kind = draw(st.none() | st.sampled_from(sorted(MALFORMED)))
+    if kind is not None:
+        at = draw(st.integers(0, len(lines)))
+        lines = lines[:at] + [MALFORMED[kind](dim)] + lines[at:]
+    in_file = sorted({line.split(" ")[0] for line in lines})
+    tokens = draw(st.sets(st.sampled_from(in_file) | TOKENS if in_file else TOKENS,
+                          max_size=6))
+    return dim, lines, tokens
+
+
+class TestVocabularyFilter:
+    """load_embeddings(path, dim, tokens) parses only the kept tokens' rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(filtered_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @example((2, ["a 1 2", "b 3 4", "a 5 6"], set()), "\n", True)
+    @example((2, ["a 1 2", "b 3 4", "a 5 6"], {"a", "zz"}), "\n", True)
+    def test_matches_per_line_oracle_and_full_parse(self, case, eol, final_eol):
+        dim, lines, tokens = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(lines, eol, final_eol, tmp)
+            new, oracle = _both(path, dim, tokens)
+            assert new == oracle
+            try:
+                full = load_embeddings(path, dim)
+            except EmbeddingFormatError:
+                return
+            table = load_embeddings(path, dim, tokens)
+        assert set(table.vocab) == tokens & set(full.vocab)
+        for token, row in table.vocab.items():
+            assert np.array_equal(table.matrix[row].view(np.uint32),
+                                  full.matrix[full.vocab[token]].view(np.uint32))
+        vocab = sorted(tokens)
+        assert (embedding_matrix_for_vocab(table, vocab).tobytes()
+                == embedding_matrix_for_vocab(full, vocab).tobytes())
+
+    @pytest.mark.parametrize("bad", ["oops", "nan", "3e40"])
+    def test_bad_number_of_an_unkept_token_is_not_parsed(self, tmp_path, bad):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"a 1.0 2.0\nb 1.0 {bad}\nc 3.0 4.0\n", encoding="utf-8")
+        new, oracle = _both(path, 2, {"a", "c", "absent"})
+        assert new == oracle
+        assert new[:2] == ("ok", {"a": 0, "c": 1})
+        assert _both(path, 2, {"b"})[0] == ("error", 2)
+
+    def test_utf8_checked_on_every_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 2\ncaf\xe9 1 2\n")
+        with pytest.raises(EmbeddingFormatError, match=":2: not UTF-8"):
+            load_embeddings(path, 2, {"a"})

@@ -516,7 +516,9 @@ def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _logits_and_grads(net: Model, x: np.ndarray, labels: np.ndarray):
-    logits, caches = net._forward_with_caches(x, None)
+    # The training path, which keeps the caches _backward reads.  A fresh
+    # generator per call gives a model and its oracle the same dropout masks.
+    logits, caches = net._forward_with_caches(x, np.random.default_rng(0))
     _, grad_logits = nn.softmax_cross_entropy(logits, labels)
     return logits, net._backward(caches, grad_logits)
 
@@ -568,6 +570,19 @@ class TestLengthAwareTrunk:
         assert np.array_equal(logits, want_logits)
         for (name, _), got, want in zip(net.param_blocks(), grads, want_grads):
             assert np.array_equal(got, want), name
+
+    def test_eval_forward_keeps_no_block_caches(self, row_block):
+        # Eval and predict never backpropagate, so the trunk frees each
+        # block's conv and pool caches as it goes; the logits are the same.
+        rng = np.random.default_rng(64)
+        net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3, num_filters=16,
+                                      embed_dim=12, fc_size=16, dropout_rate=0.0))
+        x = helpers.pad_rows(rng.normal(size=(3, 4, 46, 12)).astype(F32), MIXED_LENGTHS)
+        logits, ((hcb_cache, _), *_) = net._forward_with_caches(x, None)
+        train_logits, ((train_cache, _), *_) = net._forward_with_caches(x, rng)
+        assert np.array_equal(logits, train_logits)
+        assert [len(caches) for _, caches, _ in hcb_cache[1]] == [0] * len(hcb_cache[1])
+        assert [len(caches) for _, caches, _ in train_cache[1]] == [4] * len(train_cache[1])
 
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative_zero"])
     @pytest.mark.parametrize("at", ["sentence_end", "mid_sentence"])
