@@ -20,8 +20,10 @@ it; the embedding file must have the checkpoint's width.  ``eval`` makes one
 forward pass over the documents; accuracy and the confusion matrix both
 come from its predictions.  A command that reads embeddings builds one
 grid, so one vocabulary, over all its documents (``train``: training,
-validation and test), then parses the embedding file into one matrix.  A
-token's row depends only on the token, so sharing it changes no tensor.
+validation and test), then parses the embedding file into one matrix.  The
+model reads each batch as those grid ids and gathers the rows it needs from
+that matrix.  A token's row depends only on the token, so sharing the matrix
+changes no value the model reads.
 
 numpy (and its BLAS) is imported only after the ``--threads`` flag is
 applied to the thread-count environment variables, because the default of
@@ -53,9 +55,9 @@ def _apply_thread_flag(args: argparse.Namespace) -> None:
         os.environ[var] = str(args.threads)
 
 
-def _positive_int(value: str) -> int:
-    if not value.isdigit() or int(value) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
+def _int_at_least(value: str, least: int = 1) -> int:
+    if not value.isdigit() or int(value) < least:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -331,7 +333,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    from . import corpus, model as m
+    from . import corpus, model as m, nn
 
     ckpt_path = _resolve_input(args.checkpoint)
     emb_path = _resolve_input(args.embeddings)
@@ -340,7 +342,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     text = args.text if args.text is not None else sys.stdin.read()
     (data,) = _embedded(emb_path, config.embed_dim, config.doc_len, config.sent_len,
                         _tokenized([corpus.RawDocument(label=0, fields=[text])]))
-    probs = m.predict_proba(net, data.tensors(slice(None)))[0]
+    probs = nn.softmax(net.forward(data.grids, data.matrix))[0]
     payload = {
         "schema_version": 1,
         "label": int(probs.argmax()),
@@ -392,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strict", action="store_true",
                            help="abort on malformed dataset rows instead of skipping them")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
-        p.add_argument("--threads", type=_positive_int, default=1,
+        p.add_argument("--threads", type=_int_at_least, default=1,
                        help="BLAS thread count (default 1 for strict determinism)")
 
     p = sub.add_parser("stats", help="corpus statistics incl. the derived document threshold")
     p.add_argument("--input", required=True, help="dataset CSV/JSONL")
-    p.add_argument("--ts", type=_positive_int, default=46, help="words-per-sentence threshold")
+    p.add_argument("--ts", type=_int_at_least, default=46, help="words-per-sentence threshold")
     p.add_argument("--out", help="also write the JSON to this file")
     common_io(p)
     p.set_defaults(handler=cmd_stats)
@@ -412,19 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="validation fraction split off the training set (0 disables)")
     p.add_argument("--variant", choices=["slcnn", "slcnn+v"], default="slcnn")
     p.add_argument("--fc", choices=["small", "large"], default="small")
-    p.add_argument("--td", type=_positive_int,
+    p.add_argument("--td", type=_int_at_least,
                    help="sentences-per-document threshold (default: derived)")
-    p.add_argument("--ts", type=_positive_int, default=46)
-    p.add_argument("--dim", type=_positive_int, default=100, help="embedding dimension")
-    p.add_argument("--classes", type=_positive_int, help="number of classes (default: inferred)")
-    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--ts", type=_int_at_least, default=46)
+    p.add_argument("--dim", type=_int_at_least, default=100, help="embedding dimension")
+    p.add_argument("--classes", type=_int_at_least, help="number of classes (default: inferred)")
+    p.add_argument("--epochs", type=_int_at_least, default=50)
     p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=_int_at_least, default=64)
     p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=_positive_int,
+    p.add_argument("--seed", type=lambda value: _int_at_least(value, 0), default=0)
+    p.add_argument("--limit", type=_int_at_least,
                    help="train on a seeded subset of N documents")
-    p.add_argument("--test-limit", type=_positive_int,
+    p.add_argument("--test-limit", type=_int_at_least,
                    help="evaluate on a seeded subset of N test documents")
     p.add_argument("--out-dir", required=True)
     common_io(p)
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--limit", type=_positive_int)
+    p.add_argument("--limit", type=_int_at_least)
     p.add_argument("--out", help="also write the JSON to this file")
     common_io(p)
     p.set_defaults(handler=cmd_eval)

@@ -9,22 +9,24 @@ of 2x1 filters that pools along the sentences, mixing adjacent ones before
 the dense head.  After the first conv layer every bank convolves across
 all 128 channels.
 
+The model reads a batch as its int32 grid ids (documents, sentences, words)
+and the frozen embedding matrix they index.  Pad is id 0 and nothing else.
 The HCBs never mix rows, and they compute only the live part of each
-sentence row.  Pad is the zero vector and every HCB op is a 1x2 valid conv
-or a 2-wide pool, so every column whose receptive field is all pad holds
-one constant per HCB, which the trunk computes once per batch on a 4-wide
-all-pad row.  A row with L live words keeps L live columns through each
-conv and ceil(L / 2) through each pool.  The trunk sorts the batch's rows
-by live length and runs them in blocks of at most ROW_BLOCK rows, each on
-the width its longest row needs plus the pad constant's columns; all-pad
-rows take the last constant.  The blocks are balanced: ceil(R / ROW_BLOCK)
-blocks whose sizes differ by at most one, so no block is tiny (BLAS rounds
-tiny GEMMs differently).  The backward pass walks the same blocks, adds
-their conv gradients in block order, and then adds those of the pad
-constants, into which the gradients of every pad column and all-pad row
-are summed.  A batch of full rows runs exactly the GEMMs of a dense trunk
-over the batch's own row order.  The VCB and the dense head run on the
-whole batch.
+sentence row: up to its last id that is not pad.  Every HCB op is a 1x2
+valid conv or a 2-wide pool, so every column whose receptive field is all
+pad holds one constant per HCB, which the trunk computes once per batch on
+a 4-wide all-pad row.  A row with L live words keeps L live columns through
+each conv and ceil(L / 2) through each pool.  The trunk sorts the batch's
+rows by live length and runs them in blocks of at most ROW_BLOCK rows, each
+gathering the vectors of the width its longest row needs; after each pool
+the pad constant's columns widen it.  All-pad rows take the last constant.
+The blocks are balanced: ceil(R / ROW_BLOCK) blocks whose sizes differ by
+at most one, so no block is tiny (BLAS rounds tiny GEMMs differently).  The
+backward pass walks the same blocks, adds their conv gradients in block
+order, and then adds those of the pad constants, into which the gradients
+of every pad column and all-pad row are summed.  A batch of full rows runs
+exactly the GEMMs of a dense trunk over the batch's own row order.  The VCB
+and the dense head run on the whole batch.
 
 Embeddings are frozen and live outside the model; trainable parameters
 are exactly the conv banks and the three dense layers.
@@ -239,42 +241,41 @@ class Model:
 
     # -- forward / backward -------------------------------------------------
 
-    def _conv_trunk(self, x: np.ndarray, train: bool) -> tuple[np.ndarray, tuple]:
-        """Trunk features (batch, rows, 1, c) and the caches _backward reads:
-        the HCB trunk's and the VCB's (or None)."""
-        batch, rows = x.shape[:2]
-        y, hcb_cache = self._hcbs(x.reshape(batch * rows, 1, *x.shape[2:]), train)
+    def _conv_trunk(
+        self, ids: np.ndarray, matrix: np.ndarray, train: bool
+    ) -> tuple[np.ndarray, tuple]:
+        """Trunk features (batch, rows, 1, c) of ids (batch, rows, words) and
+        the caches _backward reads: the HCB trunk's and the VCB's (or None)."""
+        batch, rows = ids.shape[:2]
+        y, hcb_cache = self._hcbs(ids.reshape(batch * rows, -1), matrix, train)
         y = y.reshape(batch, rows, 1, -1)
         vcb_cache = None
         if self.vcb_banks:
             y, vcb_cache = _block_forward(y, self.vcb_banks, nn.VERTICAL)
         return y, (hcb_cache, vcb_cache)
 
-    def _hcbs(self, rows: np.ndarray, train: bool) -> tuple[np.ndarray, tuple]:
-        """The HCBs over sentence rows (R, 1, words, d): features (R, 1, 1, c)
-        and the caches _hcbs_backward reads, which hold no block's conv and
-        pool caches unless *train*.
+    def _hcbs(self, ids: np.ndarray, matrix: np.ndarray, train: bool) -> tuple[np.ndarray, tuple]:
+        """The HCBs over sentence rows of ids (R, words) into *matrix*:
+        features (R, 1, 1, c) and the caches _hcbs_backward reads, which
+        hold no block's conv and pool caches unless *train*.
 
         Rows are sorted by live length, longest first (ties keep their
-        order), and cut into row blocks.  Each block runs on the columns its
-        longest row needs (see _live_width), and after each pool it is
-        widened with that HCB's pad constant for the next one.  All-pad rows
-        skip the blocks and take the last HCB's constant."""
+        order), and cut into row blocks.  Each block gathers the vectors of
+        the columns its longest row needs (see _live_width), and after each
+        pool it is widened with that HCB's pad constant for the next one.
+        All-pad rows skip the blocks and take the last HCB's constant."""
         hcbs = self._hcb_banks()
-        pads, pad_caches = self._pad_chain(rows.dtype, rows.shape[3])
-        lengths = _live_lengths(rows)
+        pads, pad_caches = self._pad_chain(matrix)
+        lengths = _live_lengths(ids)
         order = np.argsort(-lengths, kind="stable")
         live_rows = int(np.count_nonzero(lengths))
-        out = np.empty((len(rows), 1, 1, pads[-1].shape[3]), rows.dtype)
+        out = np.empty((len(ids), 1, 1, pads[-1].shape[3]), matrix.dtype)
         out[order[live_rows:]] = pads[-1]
         blocks = []
         for block in _row_blocks(live_rows):
             idx = order[block]
-            width = _live_width(int(lengths[idx[0]]), rows.shape[2])
-            if (np.diff(idx) == 1).all():  # consecutive rows: a view, not a copy
-                y = rows[idx[0] : idx[-1] + 1, :, :width]
-            else:
-                y = rows[idx, :, :width]
+            width = _live_width(int(lengths[idx[0]]), ids.shape[1])
+            y = matrix[ids[idx, :width]][:, None]
             caches, lives = [], []
             for level, banks in enumerate(hcbs):
                 lives.append(y.shape[2])
@@ -291,11 +292,11 @@ class Model:
         """The two conv banks of each HCB, first HCB first."""
         return [self.conv_banks[i : i + 2] for i in range(0, len(self.conv_banks), 2)]
 
-    def _pad_chain(self, dtype, dim: int) -> tuple[list[np.ndarray], list]:
+    def _pad_chain(self, matrix: np.ndarray) -> tuple[list[np.ndarray], list]:
         """Each HCB's output on an all-pad row, one (1, 1, 1, c) constant
         per HCB, and the caches: every HCB runs on 4 columns of the previous
-        constant (the embedding pad, zeros, for the first)."""
-        y = np.zeros((1, 1, 4, dim), dtype)
+        constant (of the pad id's row of *matrix* for the first)."""
+        y = np.repeat(matrix[None, None, :1], 4, axis=2)
         pads, caches = [], []
         for banks in self._hcb_banks():
             pad, cache = _block_forward(y, banks, nn.HORIZONTAL)
@@ -341,16 +342,17 @@ class Model:
                 pad_grads[level - 1] += gp.sum(axis=(0, 1, 2))
         return grads
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode logits; training runs _forward_with_caches."""
-        return self._forward_with_caches(x, None)[0]
+    def forward(self, ids: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """Eval-mode logits of grid ids (batch, rows, words) into the frozen
+        embedding *matrix* (vocab + 1, d); training runs _forward_with_caches."""
+        return self._forward_with_caches(ids, matrix, None)[0]
 
     def _forward_with_caches(
-        self, x: np.ndarray, rng: np.random.Generator | None
+        self, ids: np.ndarray, matrix: np.ndarray, rng: np.random.Generator | None
     ) -> tuple[np.ndarray, tuple]:
         """Logits and caches; dropout draws from *rng*.  None is eval, whose
         caches lack the HCB blocks' and cannot be backpropagated."""
-        y, trunk_caches = self._conv_trunk(x, rng is not None)
+        y, trunk_caches = self._conv_trunk(ids, matrix, rng is not None)
         pre_flatten_shape = y.shape
         # Row-major over (row, channel): row 0's channels, then row 1's.
         y = y.reshape(len(y), -1)
@@ -410,14 +412,12 @@ def _row_blocks(rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _live_lengths(rows: np.ndarray) -> np.ndarray:
-    """Live words of each sentence row (R, 1, words, d): 1 plus the index of
-    its last column that is not all zeros, or 0 for an all-pad row.  A word
-    whose vector is all zeros after the last live one computes exactly what
-    pad computes, so it counts as pad."""
-    nonzero = (rows[:, 0] != 0).any(axis=2)
-    last = nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
-    return np.where(nonzero.any(axis=1), last, 0)
+def _live_lengths(ids: np.ndarray) -> np.ndarray:
+    """Live words of each sentence row of ids (R, words): 1 plus the index
+    of its last id that is not the pad id 0, or 0 for an all-pad row."""
+    live = ids != 0
+    last = live.shape[1] - live[:, ::-1].argmax(axis=1)
+    return np.where(live.any(axis=1), last, 0)
 
 
 def _live_width(live: int, width: int) -> int:
@@ -489,7 +489,8 @@ def count_parameters(model: Model) -> int:
 
 @dataclass
 class EmbeddedDataset:
-    """Grid ids plus the embedding rows they index; row 0, the pad id's, is zeros."""
+    """Grid ids plus the embedding rows they index, the form the model reads;
+    row 0, the pad id's, is zeros."""
 
     grids: np.ndarray  # (N, doc_len, sent_len) int32
     labels: np.ndarray  # (N,) int64
@@ -502,9 +503,6 @@ class EmbeddedDataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def tensors(self, idx: np.ndarray | slice) -> np.ndarray:
-        return self.matrix[self.grids[idx]]
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray | None = None) -> Iterator[np.ndarray]:
@@ -548,9 +546,9 @@ def train(
         drop_rng = np.random.default_rng([cfg.seed, STREAM_DROPOUT, epoch])
         correct = 0
         for batch_no, idx in enumerate(_batches(n, cfg.batch_size, order)):
-            x = train_data.tensors(idx)
             y = train_data.labels[idx]
-            logits, caches = model._forward_with_caches(x, drop_rng)
+            logits, caches = model._forward_with_caches(train_data.grids[idx], train_data.matrix,
+                                                        drop_rng)
             try:
                 losses, grad_logits = nn.softmax_cross_entropy(logits, y)
                 grads = model._backward(caches, grad_logits)
@@ -577,15 +575,11 @@ def train(
     return report
 
 
-def predict_proba(model: Model, x: np.ndarray) -> np.ndarray:
-    return nn.softmax(model.forward(x))
-
-
 def predict_labels(model: Model, data: EmbeddedDataset, batch_size: int = 256) -> np.ndarray:
     """Argmax class per document; ties resolve to the lowest class index."""
     preds = np.empty(len(data), dtype=np.int64)
     for idx in _batches(len(data), batch_size):
-        logits = model.forward(data.tensors(idx))
+        logits = model.forward(data.grids[idx], data.matrix)
         preds[idx] = logits.argmax(axis=1)
     return preds
 
@@ -667,23 +661,25 @@ def load_checkpoint(path: str | Path) -> Model:
         raise CheckpointError(f"not a checkpoint file (bad magic): {path}")
     (version,) = struct.unpack("<H", take(2))
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version}: {path}")
     (config_len,) = struct.unpack("<I", take(4))
-    try:
+    try:  # bytes that are not UTF-8, not JSON, or a ConfigError: all ValueErrors
         config = ModelConfig.from_dict(json.loads(bytes(take(config_len)).decode()))
-    except (json.JSONDecodeError, TypeError, ConfigError) as exc:
-        raise CheckpointError(f"bad config blob in checkpoint: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"bad config blob in checkpoint: {exc}: {path}") from exc
 
     model = build_model(config)
     for name, arr in model.param_blocks():
         (name_len,) = struct.unpack("<H", take(2))
-        stored_name = bytes(take(name_len)).decode()
-        if stored_name != name:
-            raise CheckpointError(f"parameter block {stored_name!r} where {name!r} expected")
+        stored_name = bytes(take(name_len))
+        if stored_name != name.encode():
+            raise CheckpointError(f"parameter block {stored_name.decode(errors='replace')!r} "
+                                  f"where {name!r} expected: {path}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         if shape != arr.shape:
-            raise CheckpointError(f"block {name}: stored shape {shape} != expected {arr.shape}")
+            raise CheckpointError(
+                f"block {name}: stored shape {shape} != expected {arr.shape}: {path}")
         count = int(np.prod(shape)) if shape else 1
         arr[...] = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
         if not np.isfinite(arr).all():

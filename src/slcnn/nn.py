@@ -15,7 +15,7 @@ tap, in row-major (a, b) order; the model runs its HCB trunk in
 length-sorted row blocks (see model.py) and sums their weight gradients in
 block order, then those of the pad constants.  The GEMM shapes, and so the
 rounding, depend on each batch's mix of sentence lengths, but that mix is a
-function of the batch's values, so the summation order is too.  Reductions
+function of the batch's grid ids, so the summation order is too.  Reductions
 never depend on the iteration order of hashes or sets.  With a fixed BLAS
 thread count, results are bit-identical across runs.
 """

@@ -153,9 +153,12 @@ def _first_block_name(body: bytes) -> int:
     return 10 + blob_len + 2
 
 
-def _renamed_first_block(body: bytes) -> bytes:
-    at = _first_block_name(body)
-    return body[:at] + b"hcb9" + body[at + 4:]  # hcb1.conv1.w -> hcb9.conv1.w
+def _renamed_first_block(name: bytes):
+    """A defect that stores the first block's name as *name*, of the same length."""
+    def defect(body: bytes) -> bytes:
+        at = _first_block_name(body)
+        return body[:at] + name + body[at + len(name):]
+    return defect
 
 
 def _widened_first_block(body: bytes) -> bytes:
@@ -177,12 +180,16 @@ def _retyped_config(name: str, convert):
 
 
 # Defects of a checkpoint body that only the checks behind its CRC can
-# catch, each with the text of the CheckpointError it must raise.
+# catch, each with the text of the CheckpointError it must raise (which
+# also names the file).
 CHECKPOINT_DEFECTS = {
     "bad_magic": (lambda body: b"SLCX" + body[4:], "bad magic"),
     "version": (lambda body: body[:4] + struct.pack("<H", 2) + body[6:],
                 "unsupported checkpoint version 2"),
-    "block_name": (_renamed_first_block, "'hcb9.conv1.w' where 'hcb1.conv1.w' expected"),
+    "block_name": (_renamed_first_block(b"hcb9.conv1.w"),
+                   "'hcb9.conv1.w' where 'hcb1.conv1.w' expected"),
+    "block_name_not_utf8": (_renamed_first_block(b"\xffcb1.conv1.w"),
+                            "'\ufffdcb1.conv1.w' where 'hcb1.conv1.w' expected"),
     "shape": (_widened_first_block, "block hcb1.conv1.w: stored shape"),
     "trailing_bytes": (lambda body: body + b"\0", "trailing bytes"),
     "truncated": (lambda body: body[:-257], "truncated checkpoint"),
@@ -192,6 +199,8 @@ CHECKPOINT_DEFECTS = {
                           "bad config blob in checkpoint: num_filters must be an integer"),
     "bool_seed": (_retyped_config("seed", bool),
                   "bad config blob in checkpoint: seed must be an integer"),
+    "config_not_utf8": (lambda body: body[:10] + b"\xff" + body[11:],
+                        "bad config blob in checkpoint: 'utf-8' codec can't decode byte 0xff"),
 }
 
 
@@ -241,6 +250,18 @@ def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
     """The per-token lookup oracle: the stored row, else the token's OOV draw."""
     row = table.vocab.get(token)
     return table.matrix[row] if row is not None else oov_vector(token, table.dim)
+
+
+def as_ids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, matrix) with matrix[ids] == x, for a float batch x (..., d):
+    one id per cell, and the pad id 0, whose row is zeros, for each all-zero
+    cell.  It feeds float test inputs to the model, which reads ids."""
+    cells = x.reshape(-1, x.shape[-1])
+    live = cells.any(axis=1)
+    ids = np.zeros(len(cells), np.int32)
+    ids[live] = np.arange(1, np.count_nonzero(live) + 1)
+    matrix = np.concatenate([np.zeros((1, x.shape[-1]), x.dtype), cells[live]])
+    return ids.reshape(x.shape[:-1]), matrix
 
 
 def tensorize(doc: list[list[str]], doc_len: int, sent_len: int,
@@ -507,11 +528,13 @@ def with_dtype(net: Model, dtype) -> Model:
 
 
 class DenseTrunkModel(Model):
-    """The HCB trunk oracle: every sentence row over all its columns, pad
-    included, in row blocks of the batch's own order.  Block gradients are
-    summed in block order, into the first block's arrays."""
+    """The HCB trunk oracle: the float rows matrix[ids], each over all its
+    columns, pad included, in row blocks of the batch's own order.  Block
+    gradients are summed in block order, into the first block's arrays."""
 
-    def _hcbs(self, rows: np.ndarray, train: bool) -> tuple[np.ndarray, tuple]:
+    def _hcbs(self, ids: np.ndarray, matrix: np.ndarray, train: bool
+              ) -> tuple[np.ndarray, tuple]:
+        rows = matrix[ids][:, None]
         blocks = model._row_blocks(len(rows))
         outs, block_caches = [], []
         for block in blocks:
@@ -544,8 +567,9 @@ def dense_oracle(net: Model) -> DenseTrunkModel:
 
 
 def features(net: Model, x: np.ndarray) -> np.ndarray:
-    """Pre-flatten feature map (eval mode): one feature vector per row."""
-    return net._conv_trunk(x, False)[0]
+    """Pre-flatten feature map (eval mode) of the float batch *x*: one
+    feature vector per row."""
+    return net._conv_trunk(*as_ids(x), False)[0]
 
 
 def network_margins(net: Model, x: np.ndarray) -> float:
@@ -632,7 +656,8 @@ def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn",
 
     # A generator selects the training path, which keeps the caches
     # _backward reads; at dropout rate 0 it draws nothing.
-    logits, caches = net64._forward_with_caches(x, np.random.default_rng(0))
+    ids, matrix = as_ids(x)
+    logits, caches = net64._forward_with_caches(ids, matrix, np.random.default_rng(0))
     _, grad_logits = nn.softmax_cross_entropy(logits, labels)
     grads = net64._backward(caches, grad_logits)
     blocks = net64.param_blocks()
@@ -640,7 +665,7 @@ def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn",
     analytic = {name: g for (name, _), g in zip(blocks, grads)}
 
     def loss():
-        losses, _ = nn.softmax_cross_entropy(net64.forward(x), labels)
+        losses, _ = nn.softmax_cross_entropy(net64.forward(ids, matrix), labels)
         return float(losses.mean())
 
     # The FD oracle's own noise is ~eps64 * |loss| / epsilon ~ 2e-11, so

@@ -125,15 +125,20 @@ class TestTrain:
         assert "doc_len" in err or "slcnn+v" in err
         assert not (out_dir / "model.slcnn").exists()
 
-    @pytest.mark.parametrize("flag,value,field", [
-        ("--epochs", "0", "epochs"),
-        ("--batch-size", "0", "batch_size"),
+    # Counts and the seed are checked as the flags are parsed, and the error
+    # names the flag; the other settings are checked by ModelConfig.
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--epochs", "0", "--epochs"),
+        ("--epochs", "-1", "--epochs"),
+        ("--batch-size", "0", "--batch-size"),
+        ("--batch-size", "-2", "--batch-size"),
+        ("--seed", "-1", "--seed"),
         ("--lr", "-1", "lr"),
         ("--lr", "nan", "lr"),
         ("--dropout", "1", "dropout_rate"),
     ])
     def test_impossible_setting_exits_2_before_any_write(
-            self, synth_train_csv, synth_embeddings, tmp_path, capsys, flag, value, field):
+            self, synth_train_csv, synth_embeddings, tmp_path, capsys, flag, value, named):
         out_dir = tmp_path / "never"
         code, _, err = run_cli([
             "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
@@ -141,7 +146,7 @@ class TestTrain:
             f"{flag}={value}",
         ], capsys)
         assert code == 2
-        assert field in err
+        assert named in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag", ["--limit", "--test-limit"])
@@ -636,7 +641,7 @@ class TestEval:
             "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
         ], capsys)
         assert code == 1
-        assert helpers.CHECKPOINT_DEFECTS[defect][1] in err and not out
+        assert helpers.CHECKPOINT_DEFECTS[defect][1] in err and str(bad) in err and not out
 
 
 class TestPredict:
@@ -679,7 +684,8 @@ class TestPredict:
             assert code == 0
             grid = corpus.build_grid_dataset([corpus.RawDocument(0, [text])],
                                              net.config.doc_len, net.config.sent_len)
-            logits = net.forward(m.EmbeddedDataset.build(grid, table).tensors(slice(None)))
+            data = m.EmbeddedDataset.build(grid, table)
+            logits = net.forward(data.grids, data.matrix)
             assert json.loads(out)["probabilities"] == nn.softmax(logits)[0].tolist()
 
 

@@ -124,22 +124,28 @@ def _tensors(token_docs, doc_len: int, sent_len: int, table: EmbeddingTable) -> 
     return EmbeddedDataset.build(grid, table)
 
 
+def _document(data: EmbeddedDataset, i: int) -> np.ndarray:
+    """Document *i* of *data* as the float tensor its ids index."""
+    return data.matrix[data.grids[i]]
+
+
 class TestTensorize:
     def test_all_pad_grid_is_zero(self, toy_table):
         data = _tensors([(1, [])], 3, 4, toy_table)
-        tensor = data.tensors(slice(None))
-        assert tensor.shape == (1, 3, 4, 2)
-        assert not tensor.any()
+        assert data.grids.shape == (1, 3, 4) and not data.grids.any()
+        assert np.array_equal(_document(data, 0), helpers.tensorize([], 3, 4, toy_table))
         assert data.labels.tolist() == [1]
 
     def test_single_token(self, toy_table):
-        tensor = _tensors([(0, [["a"]])], 2, 3, toy_table).tensors(0)
+        tensor = _document(_tensors([(0, [["a"]])], 2, 3, toy_table), 0)
+        assert np.array_equal(tensor, helpers.tensorize([["a"]], 2, 3, toy_table))
         assert tensor[0, 0].tolist() == [1.0, 2.0]
         assert np.count_nonzero(tensor) == 2
 
     def test_l1_sum_matches_per_token_recomputation(self, toy_table):
         doc = RawDocument(0, ["A b qzxv. B unknown a!"])
-        tensor = EmbeddedDataset.build(build_grid_dataset([doc], 4, 5), toy_table).tensors(0)
+        tensor = _document(EmbeddedDataset.build(build_grid_dataset([doc], 4, 5), toy_table), 0)
+        assert np.array_equal(tensor, helpers.tensorize(preprocess_document(doc), 4, 5, toy_table))
         expected = sum(
             float(np.abs(helpers.lookup(toy_table, tok)).sum())
             for sentence in preprocess_document(doc)[:4]
@@ -151,8 +157,8 @@ class TestTensorize:
         path = tmp_path / "emb.txt"
         path.write_text("a 0.5 -0.25\nb 1.5 2.5\n", encoding="utf-8")
         grid = build_grid_dataset([RawDocument(0, ["A b mystery. Unknown b a."])], 3, 4)
-        t1 = EmbeddedDataset.build(grid, load_embeddings(path, 2)).tensors(0)
-        t2 = EmbeddedDataset.build(grid, load_embeddings(path, 2)).tensors(0)
+        t1 = _document(EmbeddedDataset.build(grid, load_embeddings(path, 2)), 0)
+        t2 = _document(EmbeddedDataset.build(grid, load_embeddings(path, 2)), 0)
         assert np.array_equal(t1, t2)
 
 

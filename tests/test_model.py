@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -22,7 +23,7 @@ from slcnn.model import (
     evaluate,
     hcb_width_schedule,
     load_checkpoint,
-    predict_proba,
+    predict_labels,
     save_checkpoint,
     train,
 )
@@ -208,12 +209,12 @@ class TestForward:
         net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=4))
         x = np.random.default_rng(0).normal(size=(3, 4, 46, 100)).astype(F32)
         assert helpers.features(net, x).shape == (3, 4, 1, 128)
-        assert net.forward(x).shape == (3, 4)
+        assert net.forward(*helpers.as_ids(x)).shape == (3, 4)
 
     def test_all_zero_document_finite_and_deterministic(self):
         net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=4))
         x = np.zeros((1, 4, 46, 100), F32)
-        a, b = net.forward(x), net.forward(x)
+        a, b = net.forward(*helpers.as_ids(x)), net.forward(*helpers.as_ids(x))
         assert np.isfinite(a).all()
         assert np.array_equal(a, b)
 
@@ -221,14 +222,14 @@ class TestForward:
         net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=4))
         doc = np.random.default_rng(1).normal(size=(4, 46, 100)).astype(F32)
         batch = np.stack([doc] * 5)
-        logits = net.forward(batch)
+        logits = net.forward(*helpers.as_ids(batch))
         for row in logits[1:]:
             assert np.array_equal(row, logits[0])
 
     def test_softmax_head_probability_vector(self):
         net = build_model(ModelConfig(variant="slcnn+v", doc_len=6, num_classes=5))
         x = np.random.default_rng(2).normal(size=(4, 6, 46, 100)).astype(F32)
-        probs = predict_proba(net, x)
+        probs = nn.softmax(net.forward(*helpers.as_ids(x)))
         assert (probs >= 0).all()
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -254,7 +255,8 @@ class TestPermutationSensitivity:
         net.out.weights[0, 0] = 1.0
         x = np.random.default_rng(5).normal(size=(1, 4, 46, 100)).astype(F32)
         swapped = x[:, [1, 0, 2, 3]]
-        assert not np.array_equal(net.forward(x), net.forward(swapped))
+        assert not np.array_equal(net.forward(*helpers.as_ids(x)),
+                                  net.forward(*helpers.as_ids(swapped)))
 
 
 # --------------------------------------------------------------------------
@@ -355,6 +357,20 @@ class TestEvaluate:
                                       matrix=data.matrix)
         assert evaluate(net, zero_labels) == 1.0
 
+    def test_predict_never_holds_a_float_batch(self):
+        # The trunk gathers each row block's vectors from the ids; one eval
+        # batch of 64 Yelp-shape documents as a float tensor is 22.5 MiB.
+        data = random_dataset(64, 20, 5, seed=29, vocab=2000)
+        net = build_model(ModelConfig(variant="slcnn+v", doc_len=20, num_classes=5,
+                                      num_filters=8))
+        tracemalloc.start()
+        try:
+            predict_labels(net, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 20 * 46 * 100 * np.dtype(F32).itemsize
+
 
 # --------------------------------------------------------------------------
 # Checkpoints
@@ -372,11 +388,11 @@ class TestCheckpoint:
     def test_roundtrip_forward_bit_identical(self, tmp_path):
         net = self._trained_model()
         x = np.random.default_rng(41).normal(size=(2, 4, 46, 100)).astype(F32)
-        before = net.forward(x)
+        before = net.forward(*helpers.as_ids(x))
         path = tmp_path / "m.slcnn"
         save_checkpoint(net, path)
         restored = load_checkpoint(path)
-        assert np.array_equal(restored.forward(x), before)
+        assert np.array_equal(restored.forward(*helpers.as_ids(x)), before)
         assert restored.config == net.config
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -419,8 +435,9 @@ class TestCheckpoint:
         save_checkpoint(_tiny_model("slcnn", 4), path)
         path.write_bytes(helpers.defective_checkpoint(path.read_bytes(), defect))
         message = helpers.CHECKPOINT_DEFECTS[defect][1]
-        with pytest.raises(CheckpointError, match=re.escape(message)):
+        with pytest.raises(CheckpointError, match=re.escape(message)) as caught:
             load_checkpoint(path)
+        assert str(path) in str(caught.value)
 
     def test_corrupt_byte_fails_checksum(self, tmp_path):
         net = self._trained_model()
@@ -518,7 +535,7 @@ def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
 def _logits_and_grads(net: Model, x: np.ndarray, labels: np.ndarray):
     # The training path, which keeps the caches _backward reads.  A fresh
     # generator per call gives a model and its oracle the same dropout masks.
-    logits, caches = net._forward_with_caches(x, np.random.default_rng(0))
+    logits, caches = net._forward_with_caches(*helpers.as_ids(x), np.random.default_rng(0))
     _, grad_logits = nn.softmax_cross_entropy(logits, labels)
     return logits, net._backward(caches, grad_logits)
 
@@ -554,7 +571,9 @@ class TestLengthAwareTrunk:
             build_model(ModelConfig(variant=variant, doc_len=4, num_classes=4)), rng)
         x = helpers.pad_rows(rng.normal(0, 0.4, size=(3, 4, 46, 100)).astype(F32),
                              MIXED_LENGTHS)
-        np.testing.assert_allclose(net.forward(x), helpers.dense_oracle(net).forward(x),
+        ids, matrix = helpers.as_ids(x)
+        np.testing.assert_allclose(net.forward(ids, matrix),
+                                   helpers.dense_oracle(net).forward(ids, matrix),
                                    rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
@@ -578,8 +597,9 @@ class TestLengthAwareTrunk:
         net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3, num_filters=16,
                                       embed_dim=12, fc_size=16, dropout_rate=0.0))
         x = helpers.pad_rows(rng.normal(size=(3, 4, 46, 12)).astype(F32), MIXED_LENGTHS)
-        logits, ((hcb_cache, _), *_) = net._forward_with_caches(x, None)
-        train_logits, ((train_cache, _), *_) = net._forward_with_caches(x, rng)
+        ids, matrix = helpers.as_ids(x)
+        logits, ((hcb_cache, _), *_) = net._forward_with_caches(ids, matrix, None)
+        train_logits, ((train_cache, _), *_) = net._forward_with_caches(ids, matrix, rng)
         assert np.array_equal(logits, train_logits)
         assert [len(caches) for _, caches, _ in hcb_cache[1]] == [0] * len(hcb_cache[1])
         assert [len(caches) for _, caches, _ in train_cache[1]] == [4] * len(train_cache[1])
@@ -587,17 +607,23 @@ class TestLengthAwareTrunk:
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative_zero"])
     @pytest.mark.parametrize("at", ["sentence_end", "mid_sentence"])
     def test_zero_vector_word_gives_oracle_logits(self, zero, at):
+        # Pad is id 0 and nothing else: a live id whose row is all zeros is
+        # a word, wherever it stands, and the first block computes it.
         rng = np.random.default_rng(63)
         cfg = ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, num_filters=16,
                           embed_dim=12, fc_size=16)
         net = helpers.randomize_biases(helpers.with_dtype(build_model(cfg), np.float64), rng)
-        x = helpers.pad_rows(rng.normal(size=(3, 4, 46, 12)), MIXED_LENGTHS)
-        word = {"sentence_end": 16, "mid_sentence": 8}[at]  # row (1, 1) has 17 words
-        x[1, 1, word] = zero
-        logits = net.forward(x)
-        assert _max_rel(logits, helpers.dense_oracle(net).forward(x)) < 1e-10
-        x[1, 1, word] = 0.0
-        assert np.array_equal(logits, net.forward(x))
+        ids = np.zeros((3, 4, 46), np.int32)
+        ids[1, 1, :17] = np.arange(1, 18)  # the longest row: 17 words
+        ids[0, 2, :5] = np.arange(18, 23)
+        matrix = rng.normal(size=(23, 12))
+        matrix[0] = 0.0
+        word = {"sentence_end": 16, "mid_sentence": 8}[at]
+        matrix[ids[1, 1, word]] = zero
+        logits, ((hcb_cache, _), *_) = net._forward_with_caches(ids, matrix, None)
+        _, _, lives = hcb_cache[1][0]  # the first block, which holds the longest row
+        assert lives[0] == 20  # 2 * ceil(17 / 2) + 2 columns; 18 were word 17 pad
+        assert _max_rel(logits, helpers.dense_oracle(net).forward(ids, matrix)) < 1e-10
 
     def test_same_seed_training_on_padded_rows_bit_identical(self, row_block):
         data = random_dataset(12, 4, 3, seed=64, padded=True)
@@ -632,7 +658,7 @@ class TestEmbeddedDataset:
         table = load_embeddings(emb_path, 8)
         grid_ds = build_grid_dataset(docs, 3, 10)
         data = EmbeddedDataset.build(grid_ds, table)
-        batch = data.tensors(np.arange(len(docs)))
+        batch = data.matrix[data.grids]
         for i, doc in enumerate(docs):
             direct = helpers.tensorize(preprocess_document(doc), 3, 10, table)
             assert np.array_equal(batch[i], direct)
