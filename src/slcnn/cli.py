@@ -37,6 +37,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -68,6 +69,15 @@ def _fraction(value: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {value!r}")
+
+
+def _positive(value: str) -> float:
+    try:
+        if math.isfinite(float(value)) and float(value) > 0:
+            return float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value!r}")
 
 
 def _resolve_input(path_str: str) -> Path:
@@ -420,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_int_at_least, default=100, help="embedding dimension")
     p.add_argument("--classes", type=_int_at_least, help="number of classes (default: inferred)")
     p.add_argument("--epochs", type=_int_at_least, default=50)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--lr", type=_positive, default=0.001)
     p.add_argument("--batch-size", type=_int_at_least, default=64)
-    p.add_argument("--dropout", type=float, default=0.5)
+    p.add_argument("--dropout", type=_fraction, default=0.5)
     p.add_argument("--seed", type=lambda value: _int_at_least(value, 0), default=0)
     p.add_argument("--limit", type=_int_at_least,
                    help="train on a seeded subset of N documents")

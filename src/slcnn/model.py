@@ -527,7 +527,9 @@ def train(
     Shuffling and dropout derive from the config seed, so identical
     configs produce bit-identical per-epoch loss sequences.  The final
     model keeps its last-epoch weights; the best-validation snapshot is
-    stored on ``model.best_params``.
+    stored on ``model.best_params``.  Each step runs in _train_step, whose
+    caches and gradients are freed when it returns, so one step's working
+    set is resident at a time (a Yelp-shape batch caches 45 MiB).
     """
     cfg = model.config
     n = len(train_data)
@@ -547,12 +549,9 @@ def train(
         correct = 0
         for batch_no, idx in enumerate(_batches(n, cfg.batch_size, order)):
             y = train_data.labels[idx]
-            logits, caches = model._forward_with_caches(train_data.grids[idx], train_data.matrix,
-                                                        drop_rng)
             try:
-                losses, grad_logits = nn.softmax_cross_entropy(logits, y)
-                grads = model._backward(caches, grad_logits)
-                nn.adam_step(params, grads, model.adam_state, names)
+                losses, logits = _train_step(model, params, names, train_data.grids[idx], y,
+                                             train_data.matrix, drop_rng)
             except (ValueError, nn.OptimizerError) as exc:
                 raise TrainingDivergedError(epoch, batch_no, str(exc)) from exc
             # Losses land at their dataset positions and are reduced in that
@@ -573,6 +572,19 @@ def train(
         if log_fn is not None:
             log_fn(epoch, report)
     return report
+
+
+def _train_step(model: Model, params: list[np.ndarray], names: list[str], ids: np.ndarray,
+                labels: np.ndarray, matrix: np.ndarray,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One Adam step on the batch ids (batch, rows, words): its per-sample
+    losses and its logits.  The forward caches and the gradients die with
+    this call, before the next step's forward starts."""
+    logits, caches = model._forward_with_caches(ids, matrix, rng)
+    losses, grad_logits = nn.softmax_cross_entropy(logits, labels)
+    grads = model._backward(caches, grad_logits)
+    nn.adam_step(params, grads, model.adam_state, names)
+    return losses, logits
 
 
 def predict_labels(model: Model, data: EmbeddedDataset, batch_size: int = 256) -> np.ndarray:

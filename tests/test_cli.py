@@ -125,17 +125,17 @@ class TestTrain:
         assert "doc_len" in err or "slcnn+v" in err
         assert not (out_dir / "model.slcnn").exists()
 
-    # Counts and the seed are checked as the flags are parsed, and the error
-    # names the flag; the other settings are checked by ModelConfig.
+    # Counts, the seed, the learning rate and the dropout rate are checked as
+    # the flags are parsed, and the error names the flag.
     @pytest.mark.parametrize("flag,value,named", [
         ("--epochs", "0", "--epochs"),
         ("--epochs", "-1", "--epochs"),
         ("--batch-size", "0", "--batch-size"),
         ("--batch-size", "-2", "--batch-size"),
         ("--seed", "-1", "--seed"),
-        ("--lr", "-1", "lr"),
-        ("--lr", "nan", "lr"),
-        ("--dropout", "1", "dropout_rate"),
+        ("--lr", "-1", "--lr"),
+        ("--lr", "nan", "--lr"),
+        ("--dropout", "1", "--dropout"),
     ])
     def test_impossible_setting_exits_2_before_any_write(
             self, synth_train_csv, synth_embeddings, tmp_path, capsys, flag, value, named):
@@ -258,6 +258,21 @@ class TestTrain:
         assert code == 2
         assert "--val-frac" in err and "not found" not in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "-1"), ("--lr", "0"), ("--lr", "inf"), ("--lr", "x"),
+        ("--dropout", "1"), ("--dropout", "-0.1"), ("--dropout", "nan"),
+    ])
+    def test_rate_rejected_before_inputs_are_read(self, tmp_path, capsys, flag, value):
+        # The inputs do not exist: the flag is rejected before any is read.
+        code, _, err = run_cli([
+            "train", "--input", str(tmp_path / "absent.csv"),
+            "--embeddings", str(tmp_path / "absent.txt"),
+            "--out-dir", str(tmp_path / "never"), flag, value,
+        ], capsys)
+        assert code == 2
+        assert flag in err and "not found" not in err
+        assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_dim_below_one_exits_2(self, tmp_path, capsys, value):

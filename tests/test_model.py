@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import struct
 import tracemalloc
+import weakref
 import zlib
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -93,6 +96,18 @@ class TestShapeCollapse:
         net = _tiny_model("slcnn", rows)
         x = np.random.default_rng(rows).normal(size=(2, rows, 46, 6)).astype(F32)
         assert helpers.features(net, x).shape == (2, rows, 1, 5)
+
+
+def _arrays_in(obj) -> Iterator[np.ndarray]:
+    """Every ndarray reachable from *obj* through tuples, lists and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays_in(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays_in(getattr(obj, f.name))
 
 
 def _tiny_model(variant: str, doc_len: int) -> Model:
@@ -306,6 +321,43 @@ class TestTrain:
         assert report.best_val_epoch is not None
         assert net.best_params is not None
         assert all(0.0 <= a <= 1.0 for a in report.train_accuracy + report.val_accuracy)
+
+    def test_one_step_resident(self, monkeypatch):
+        # Every array the caches of a step's forward reach (conv inputs,
+        # ReLU masks, pool choices, row indices) is freed before the next
+        # step's forward starts.
+        data = random_dataset(24, 4, 3, seed=27, padded=True)
+        net = build_model(ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, seed=8,
+                                      num_filters=8, fc_size=16, epochs=1, batch_size=8))
+        forward = Model._forward_with_caches
+        steps: list[list[weakref.ref]] = []
+
+        def tracked(self, ids, matrix, rng):
+            assert all(ref() is None for refs in steps for ref in refs)
+            logits, caches = forward(self, ids, matrix, rng)
+            steps.append([weakref.ref(arr) for arr in _arrays_in(caches)])
+            return logits, caches
+
+        monkeypatch.setattr(Model, "_forward_with_caches", tracked)
+        train(net, data)
+        assert len(steps) == 3 and all(steps)
+
+    def test_confident_batch_has_no_subnormal_gradient(self):
+        # Scale the output layer until the closest runner-up logit is 95
+        # below its row's top one: float32 softmax then underflows to
+        # subnormal probabilities, which the loss floors to 0.
+        data = random_dataset(8, 4, 3, seed=28)
+        net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3, seed=9,
+                                      dropout_rate=0.0))
+        logits = net.forward(data.grids, data.matrix)
+        top2 = np.sort(logits, axis=1)[:, -2:]
+        net.out.weights *= F32(95 / (top2[:, 1] - top2[:, 0]).min())
+        logits, caches = net._forward_with_caches(data.grids, data.matrix,
+                                                  np.random.default_rng(0))
+        _, grad_logits = nn.softmax_cross_entropy(logits, logits.argmax(axis=1))
+        tiny = np.finfo(F32).tiny
+        for (name, _), g in zip(net.param_blocks(), net._backward(caches, grad_logits)):
+            assert not ((g != 0) & (np.abs(g) < tiny)).any(), name
 
     def test_divergence_aborts_with_location(self):
         data = random_dataset(8, 4, 2, seed=23)

@@ -238,6 +238,14 @@ class TestSoftmaxCrossEntropy:
     def test_gradient_matches_finite_differences(self):
         assert helpers.fd_sweep_softmax(100) < 1e-4
 
+    @pytest.mark.parametrize("label,expected", [(0, [0, 0, 0]), (1, [1, -1, 0])])
+    def test_no_gradient_entry_below_the_floor(self, label, expected):
+        # A spread of 95 (between 87.4 and 103.9) makes exp(-95) = 5.5e-42 a
+        # float32 subnormal; it is floored to 0 and the other entries stay.
+        _, grad = nn.softmax_cross_entropy(np.array([[95, 0, 0]], F32), np.array([label]))
+        assert not ((grad != 0) & (np.abs(grad) < 2.0**-100)).any()
+        assert np.array_equal(grad, np.array([expected], F32))
+
     def test_non_finite_logits_rejected(self):
         with pytest.raises(ValueError):
             nn.softmax_cross_entropy(np.array([[np.nan, 0.0]]), np.array([0]))
