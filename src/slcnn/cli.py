@@ -57,7 +57,7 @@ def _apply_thread_flag(args: argparse.Namespace) -> None:
 
 
 def _int_at_least(value: str, least: int = 1) -> int:
-    if not value.isdigit() or int(value) < least:
+    if not value.isdecimal() or int(value) < least:
         raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -86,6 +86,12 @@ def _resolve_input(path_str: str) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"input file not found: {path_str}")
     return path
+
+
+def _out_file(value: str) -> str:
+    if Path(value).is_dir() or not Path(value).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"must be a file in an existing directory, got {value!r}")
+    return value
 
 
 def _sha256(path: Path) -> str:
@@ -212,6 +218,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
         raise ValueError(f"--out-dir {args.out_dir}: {existing} is not a directory")
+    if args.test_limit is not None and not args.test:
+        raise ValueError("--test-limit needs --test")
+    m.hcb_width_schedule(args.ts)  # raises when --ts cannot collapse to width 1
     train_path = _resolve_input(args.input)
     emb_path = _resolve_input(args.embeddings)
     test_path = _resolve_input(args.test) if args.test else None
@@ -264,15 +273,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         m.count_parameters(net),
     )
 
-    def log_epoch(epoch: int, report: m.TrainReport) -> None:
-        val = f" val_acc={report.val_accuracy[-1]:.4f}" if report.val_accuracy else ""
-        log.info(
-            "epoch %d/%d loss=%.6f acc=%.4f%s (%.1fs)",
-            epoch + 1, config.epochs, report.train_loss[-1],
-            report.train_accuracy[-1], val, report.epoch_seconds[-1],
-        )
-
-    report = m.train(net, train_data, val_data, log_fn=log_epoch)
+    report = m.train(net, train_data, val_data)
     if test_data is not None:
         report.test_accuracy_final = m.evaluate(net, test_data)
 
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="corpus statistics incl. the derived document threshold")
     p.add_argument("--input", required=True, help="dataset CSV/JSONL")
     p.add_argument("--ts", type=_int_at_least, default=46, help="words-per-sentence threshold")
-    p.add_argument("--out", help="also write the JSON to this file")
+    p.add_argument("--out", type=_out_file, help="also write the JSON to this file")
     common_io(p)
     p.set_defaults(handler=cmd_stats)
 
@@ -428,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sentences-per-document threshold (default: derived)")
     p.add_argument("--ts", type=_int_at_least, default=46)
     p.add_argument("--dim", type=_int_at_least, default=100, help="embedding dimension")
-    p.add_argument("--classes", type=_int_at_least, help="number of classes (default: inferred)")
+    p.add_argument("--classes", type=lambda value: _int_at_least(value, 2),
+                   help="number of classes (default: inferred)")
     p.add_argument("--epochs", type=_int_at_least, default=50)
     p.add_argument("--lr", type=_positive, default=0.001)
     p.add_argument("--batch-size", type=_int_at_least, default=64)
@@ -447,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--limit", type=_int_at_least)
-    p.add_argument("--out", help="also write the JSON to this file")
+    p.add_argument("--out", type=_out_file, help="also write the JSON to this file")
     common_io(p)
     p.set_defaults(handler=cmd_eval)
 
@@ -455,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--text", help="text to classify (default: read stdin)")
-    p.add_argument("--out", help="also write the JSON to this file")
+    p.add_argument("--out", type=_out_file, help="also write the JSON to this file")
     common_io(p, reads_dataset=False)
     p.set_defaults(handler=cmd_predict)
 

@@ -35,6 +35,7 @@ are exactly the conv banks and the three dense layers.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import secrets
@@ -57,6 +58,8 @@ VARIANTS = (SLCNN, SLCNN_V)
 
 FC_SIZES = {"small": 512, "large": 1024}
 
+EVAL_BATCH = 256  # documents per forward pass of predict_labels and evaluate
+
 # Sentence rows per block of the HCB trunk.  A block's widest activation
 # (128 x 45 x 128 float32, 2.9 MB) fits a 4 MiB L2 cache, where the whole
 # Yelp-shape batch (1,280 rows, 29 MB) does not.  On a 2-core Xeon at one
@@ -74,6 +77,8 @@ STREAM_SHUFFLE = 1
 STREAM_DROPOUT = 2
 STREAM_LIMIT = 3
 STREAM_SPLIT = 4
+
+log = logging.getLogger("slcnn")
 
 
 class ConfigError(ValueError):
@@ -162,13 +167,6 @@ class ModelConfig:
         rows = (self.doc_len - 2) // 2 if self.variant == SLCNN_V else self.doc_len
         return rows * self.num_filters
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass
 class TrainReport:
@@ -208,7 +206,6 @@ class Model:
         self.fc1 = fc1
         self.fc2 = fc2
         self.out = out
-        self.adam_state: nn.AdamState | None = None
         self.best_params: list[np.ndarray] | None = None
 
     # -- parameters --------------------------------------------------------
@@ -384,8 +381,8 @@ def _block_forward(
     y: np.ndarray, banks: Sequence[nn.ConvFilterBank], axis: str
 ) -> tuple[np.ndarray, tuple]:
     """One block: conv+ReLU, conv+ReLU, then a size-2 max-pool along *axis*."""
-    y, c1 = nn.conv2d_forward(y, banks[0], "relu")
-    y, c2 = nn.conv2d_forward(y, banks[1], "relu")
+    y, c1 = nn.conv2d_forward(y, banks[0])
+    y, c2 = nn.conv2d_forward(y, banks[1])
     y, cp = nn.maxpool_forward(y, axis)
     return y, (c1, c2, cp)
 
@@ -456,14 +453,13 @@ def _init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> nn.Dense
     return nn.DenseLayer(weights=w, biases=np.zeros(out_dim, dtype=np.float32))
 
 
-def build_model(config: ModelConfig, rng: np.random.Generator | None = None) -> Model:
+def build_model(config: ModelConfig) -> Model:
     """Initialize all layers: Glorot-uniform weights, zero biases.
 
-    Draw order is fixed (conv banks first, then the dense head) so a seed
-    fully determines the initial parameters.
+    Draw order is fixed (conv banks first, then the dense head) so the
+    config seed fully determines the initial parameters.
     """
-    if rng is None:
-        rng = np.random.default_rng([config.seed, STREAM_INIT])
+    rng = np.random.default_rng([config.seed, STREAM_INIT])
     k = config.num_filters
     conv_banks = []
     for i in range(2 * config.num_hcb):
@@ -515,14 +511,12 @@ def _batches(n: int, batch_size: int, order: np.ndarray | None = None) -> Iterat
 # Training and evaluation
 # --------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
-    model: Model,
-    train_data: EmbeddedDataset,
-    val_data: EmbeddedDataset | None = None,
-    *,
-    log_fn=None,
+    model: Model, train_data: EmbeddedDataset, val_data: EmbeddedDataset | None = None
 ) -> TrainReport:
-    """Mini-batch Adam training for config.epochs epochs.
+    """Mini-batch Adam training for config.epochs epochs, from fresh Adam
+    moments; each epoch logs one line on the ``slcnn`` logger.
 
     Shuffling and dropout derive from the config seed, so identical
     configs produce bit-identical per-epoch loss sequences.  The final
@@ -530,15 +524,16 @@ def train(
     stored on ``model.best_params``.  Each step runs in _train_step, whose
     caches and gradients are freed when it returns, so one step's working
     set is resident at a time (a Yelp-shape batch caches 45 MiB).
+    numpy's overflow and invalid-value warnings are off: a diverging run
+    reports itself once, as TrainingDivergedError.
     """
     cfg = model.config
     n = len(train_data)
     blocks = model.param_blocks()
     names = [name for name, _ in blocks]
     params = [arr for _, arr in blocks]
-    if model.adam_state is None:
-        model.adam_state = nn.AdamState.for_params(params, lr=cfg.lr)
-    report = TrainReport(config=cfg.to_dict())
+    state = nn.AdamState.for_params(params, lr=cfg.lr)
+    report = TrainReport(config=asdict(cfg))
     best_acc = -1.0
 
     sample_losses = np.zeros(n, dtype=np.float64)
@@ -550,8 +545,8 @@ def train(
         for batch_no, idx in enumerate(_batches(n, cfg.batch_size, order)):
             y = train_data.labels[idx]
             try:
-                losses, logits = _train_step(model, params, names, train_data.grids[idx], y,
-                                             train_data.matrix, drop_rng)
+                losses, logits = _train_step(model, params, names, state, train_data.grids[idx],
+                                             y, train_data.matrix, drop_rng)
             except (ValueError, nn.OptimizerError) as exc:
                 raise TrainingDivergedError(epoch, batch_no, str(exc)) from exc
             # Losses land at their dataset positions and are reduced in that
@@ -569,13 +564,14 @@ def train(
                 report.best_val_accuracy = acc
                 model.best_params = model.param_values()
         report.epoch_seconds.append(time.perf_counter() - t0)
-        if log_fn is not None:
-            log_fn(epoch, report)
+        val = f" val_acc={report.val_accuracy[-1]:.4f}" if report.val_accuracy else ""
+        log.info("epoch %d/%d loss=%.6f acc=%.4f%s (%.1fs)", epoch + 1, cfg.epochs,
+                 report.train_loss[-1], report.train_accuracy[-1], val, report.epoch_seconds[-1])
     return report
 
 
-def _train_step(model: Model, params: list[np.ndarray], names: list[str], ids: np.ndarray,
-                labels: np.ndarray, matrix: np.ndarray,
+def _train_step(model: Model, params: list[np.ndarray], names: list[str], state: nn.AdamState,
+                ids: np.ndarray, labels: np.ndarray, matrix: np.ndarray,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One Adam step on the batch ids (batch, rows, words): its per-sample
     losses and its logits.  The forward caches and the gradients die with
@@ -583,22 +579,22 @@ def _train_step(model: Model, params: list[np.ndarray], names: list[str], ids: n
     logits, caches = model._forward_with_caches(ids, matrix, rng)
     losses, grad_logits = nn.softmax_cross_entropy(logits, labels)
     grads = model._backward(caches, grad_logits)
-    nn.adam_step(params, grads, model.adam_state, names)
+    nn.adam_step(params, grads, state, names)
     return losses, logits
 
 
-def predict_labels(model: Model, data: EmbeddedDataset, batch_size: int = 256) -> np.ndarray:
+def predict_labels(model: Model, data: EmbeddedDataset) -> np.ndarray:
     """Argmax class per document; ties resolve to the lowest class index."""
     preds = np.empty(len(data), dtype=np.int64)
-    for idx in _batches(len(data), batch_size):
+    for idx in _batches(len(data), EVAL_BATCH):
         logits = model.forward(data.grids[idx], data.matrix)
         preds[idx] = logits.argmax(axis=1)
     return preds
 
 
-def evaluate(model: Model, data: EmbeddedDataset, batch_size: int = 256) -> float:
+def evaluate(model: Model, data: EmbeddedDataset) -> float:
     """Fraction of documents whose argmax logit matches the label."""
-    preds = predict_labels(model, data, batch_size)
+    preds = predict_labels(model, data)
     return float((preds == data.labels).mean())
 
 
@@ -621,7 +617,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     body = bytearray()
     body += CHECKPOINT_MAGIC
     body += struct.pack("<H", CHECKPOINT_VERSION)
-    config_blob = json.dumps(model.config.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    config_blob = json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":")).encode()
     body += struct.pack("<I", len(config_blob))
     body += config_blob
     for name, arr in model.param_blocks():
@@ -639,15 +635,18 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
     """Write *data* to a new temp file beside *path*, then rename it over
     *path*, so a failed or interrupted write leaves any earlier file whole
     and no partial one.  There is no fsync: this guards against the process
-    failing, not the host."""
+    failing, not the host.  An OS error is raised again, of its class, naming
+    *path* rather than the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "xb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -676,7 +675,7 @@ def load_checkpoint(path: str | Path) -> Model:
         raise CheckpointError(f"unsupported checkpoint version {version}: {path}")
     (config_len,) = struct.unpack("<I", take(4))
     try:  # bytes that are not UTF-8, not JSON, or a ConfigError: all ValueErrors
-        config = ModelConfig.from_dict(json.loads(bytes(take(config_len)).decode()))
+        config = ModelConfig(**json.loads(bytes(take(config_len)).decode()))
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"bad config blob in checkpoint: {exc}: {path}") from exc
 

@@ -65,13 +65,12 @@ class DenseLayer:
 @dataclass
 class ConvCache:
     x: np.ndarray
-    relu_mask: np.ndarray | None  # None for identity activation
+    relu_mask: np.ndarray
 
 
-def conv2d_forward(
-    x: np.ndarray, bank: ConvFilterBank, activation: str = "relu"
-) -> tuple[np.ndarray, ConvCache]:
-    """Valid convolution, stride 1: out[i,j,q] = act(sum_w x-window + b[q]).
+def conv2d_forward(x: np.ndarray, bank: ConvFilterBank) -> tuple[np.ndarray, ConvCache]:
+    """Valid convolution, stride 1, then ReLU:
+    out[i,j,q] = relu(sum_w x-window + b[q]).
 
     Input is a batch (B, m, n, c_in); output (B, m - s + 1, n - t + 1, k).
     """
@@ -93,11 +92,8 @@ def conv2d_forward(
                 flat += contrib
     flat += bank.biases.astype(x.dtype, copy=False)
     out = flat.reshape(batch, om, on, k)
-
-    mask = None
-    if activation == "relu":
-        mask = out > 0
-        np.maximum(out, 0, out=out)
+    mask = out > 0
+    np.maximum(out, 0, out=out)
     return out, ConvCache(x=x, relu_mask=mask)
 
 
@@ -112,7 +108,7 @@ def conv2d_backward(
     With ``need_input_grad=False`` the input gradient is not computed and
     None is returned in its place (the layer over frozen embeddings).
     """
-    up = upstream if cache.relu_mask is None else upstream * cache.relu_mask
+    up = upstream * cache.relu_mask
     x = cache.x
     k, s, t, c_in = bank.weights.shape
     om, on = up.shape[1], up.shape[2]
@@ -284,14 +280,16 @@ def dropout(
 # Adam
 # --------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates plus timestep for a fixed parameter list."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -309,24 +307,23 @@ def adam_step(
     params: Sequence[np.ndarray],
     grads: Sequence[np.ndarray],
     state: AdamState,
-    names: Sequence[str] | None = None,
+    names: Sequence[str],
 ) -> None:
-    """One Adam update, in place:
+    """One Adam update, in place, naming *names[i]* on a non-finite gradient:
 
         m <- b1 m + (1-b1) g        mhat = m / (1 - b1^t)
         v <- b2 v + (1-b2) g^2      vhat = v / (1 - b2^t)
         p <- p - lr * mhat / (sqrt(vhat) + eps)
     """
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for i, (p, g) in enumerate(zip(params, grads)):
         if not np.isfinite(g).all():
-            name = names[i] if names else f"block {i}"
-            raise OptimizerError(f"non-finite gradient in {name}")
+            raise OptimizerError(f"non-finite gradient in {names[i]}")
         m, v = state.m[i], state.v[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

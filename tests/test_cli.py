@@ -75,13 +75,14 @@ class TestStats:
         assert code == 2
         assert "input file not found" in err and out == ""
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
+    # '\u00b2' (superscript two) passes str.isdigit() but not int().
+    @pytest.mark.parametrize("value", ["0", "-5", "\u00b2"])
     def test_ts_below_one_exits_2(self, synth_train_csv, tmp_path, capsys, value):
         out_file = tmp_path / "stats.json"
         code, out, err = run_cli(["stats", "--input", str(synth_train_csv), f"--ts={value}",
                                   "--out", str(out_file)], capsys)
         assert code == 2
-        assert "--ts" in err and not out
+        assert "--ts" in err and "must be an integer >= 1" in err and not out
         assert not out_file.exists()
 
     def test_out_file_and_manifest(self, synth_train_csv, tmp_path, capsys):
@@ -285,6 +286,39 @@ class TestTrain:
         assert code == 2
         assert "--dim" in err and "not found" not in err
         assert not (tmp_path / "never").exists()
+
+    # Word-axis widths that cannot collapse to 1, one class, and a test
+    # limit with no test set (which would otherwise be ignored).
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--ts", "6", "sentence length 6"),
+        ("--ts", "3", "sentence length 3"),
+        ("--classes", "1", "--classes"),
+        ("--test-limit", "4", "--test-limit needs --test"),
+    ])
+    def test_setting_rejected_before_inputs_are_read(self, tmp_path, capsys, flag, value,
+                                                     named):
+        # The inputs do not exist: the setting is rejected before any is read.
+        code, out, err = run_cli([
+            "train", "--input", str(tmp_path / "absent.csv"),
+            "--embeddings", str(tmp_path / "absent.txt"),
+            "--out-dir", str(tmp_path / "never"), flag, value,
+        ], capsys)
+        assert code == 2
+        assert named in err and "not found" not in err and not out
+        assert not (tmp_path / "never").exists()
+
+    def test_diverged_training_is_one_error(self, synth_train_csv, synth_embeddings, tmp_path,
+                                            capsys):
+        # Under filterwarnings=error a numpy RuntimeWarning on the way to the
+        # non-finite check would escape main() instead.
+        code, out, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(tmp_path / "run"), "--limit", "8", "--epochs", "6",
+            "--batch-size", "8", "--val-frac", "0", "--lr", "1e18",
+        ], capsys)
+        assert code == 1
+        assert "training diverged" in err and not out
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
     def test_out_dir_on_a_regular_file_exits_2(self, tmp_path, capsys, under):
@@ -957,6 +991,29 @@ class TestAtomicWrites:
         assert "cannot rename" in err
         assert target.read_text(encoding="utf-8") == "earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
+
+
+class TestOutFlag:
+    @pytest.mark.parametrize("command", ["stats", "eval", "predict"])
+    @pytest.mark.parametrize("target", ["absent/out.json", "taken"])
+    def test_unwritable_out_exits_2_before_inputs_are_read(self, tmp_path, capsys, command,
+                                                           target):
+        (tmp_path / "taken").mkdir()
+        inputs = {"stats": ["--input"], "eval": ["--checkpoint", "--input", "--embeddings"],
+                  "predict": ["--checkpoint", "--embeddings"]}[command]
+        argv = [command, *(a for flag in inputs for a in (flag, str(tmp_path / "absent.csv")))]
+        code, out, err = run_cli([*argv, "--out", str(tmp_path / target)], capsys)
+        assert code == 2
+        assert "--out" in err and "not found" not in err and not out
+
+    @pytest.mark.parametrize("target,error", [
+        ("absent/out.json", FileNotFoundError), ("taken", IsADirectoryError)])
+    def test_failed_write_names_the_target_not_its_temp_file(self, tmp_path, target, error):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(error) as info:
+            m._write_atomic(tmp_path / target, b"{}\n")
+        assert str(tmp_path / target) in str(info.value) and ".tmp" not in str(info.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 class TestThreadFlag:
