@@ -3,27 +3,28 @@
 JSON goes to stdout, logs to stderr.  Exit codes are a stable contract:
 0 success, 2 a missing input or any ``ValueError`` (a bad flag, setting,
 dataset or embedding file), 1 any other failure (a corrupt checkpoint,
-diverged training, a failed write).  ``train``,
-and ``stats``/``eval`` with ``--out``, write a run manifest: the exact argv
-the command was parsed from, the sha256 of every input and the resolved
-values (``args``, a record only).  ``predict`` writes none; its text may
-come from stdin, which a manifest cannot replay.  ``slcnn rerun
+diverged training, a failed write, an allocation beyond the machine).
+``train``, and ``stats``/``eval`` with ``--out``, write a run manifest: the
+exact argv the command was parsed from, the sha256 of every input and the
+resolved values (``args``, a record only).  ``predict`` writes none; its
+text may come from stdin, which a manifest cannot replay.  ``slcnn rerun
 manifest.json`` checks every input digest, then parses the recorded argv
 again (plus any ``--out-dir``), so every command-line rule holds for a
 replay; a manifest without an argv (schema 1) is refused.  Artifacts are
 written to a temp file and renamed into place, so a failed write never
 leaves a truncated file.
 
-``eval`` and ``predict`` take every model setting (grid shape, embedding
-width, classes) from the checkpoint, and no flag of theirs can contradict
-it; the embedding file must have the checkpoint's width.  ``eval`` makes one
-forward pass over the documents; accuracy and the confusion matrix both
-come from its predictions.  A command that reads embeddings builds one
-grid, so one vocabulary, over all its documents (``train``: training,
-validation and test), then parses the embedding file into one matrix.  The
-model reads each batch as those grid ids and gathers the rows it needs from
-that matrix.  A token's row depends only on the token, so sharing the matrix
-changes no value the model reads.
+``train`` takes the embedding width from the first line of its embedding
+file.  ``eval`` and ``predict`` take every model setting (grid shape,
+embedding width, classes) from the checkpoint, and no flag of theirs can
+contradict it; the embedding file must have the checkpoint's width.
+``eval`` makes one forward pass over the documents; accuracy and the
+confusion matrix both come from its predictions.  A command that reads
+embeddings builds one grid, so one vocabulary, over all its documents
+(``train``: training, validation and test), then parses the embedding file
+into one matrix.  The model reads each batch as those grid ids and gathers
+the rows it needs from that matrix.  A token's row depends only on the
+token, so sharing the matrix changes no value the model reads.
 
 numpy (and its BLAS) is imported only after the ``--threads`` flag is
 applied to the thread-count environment variables, because the default of
@@ -108,14 +109,19 @@ def _write_text(path: Path | str, text: str) -> None:
     _write_atomic(path, text.encode("utf-8"))
 
 
-def _emit(payload: dict, pretty: bool, out: str | None) -> None:
-    text = json.dumps(payload, indent=2 if pretty else None, sort_keys=True)
+def _emit(payload: dict, args: argparse.Namespace, out: str | None,
+          inputs: tuple[Path, ...] = ()) -> None:
+    """Print *payload* as JSON.  With *out*, write it there too, and with
+    *inputs* as well, a run manifest of them beside it."""
+    text = json.dumps(payload, indent=2 if args.pretty else None, sort_keys=True)
     if out:
         _write_text(out, text + "\n")
+        if inputs:
+            _write_manifest(args, inputs, [out], Path(out).with_suffix(".manifest.json"))
     print(text)
 
 
-def _write_manifest(args: argparse.Namespace, digests: dict[str, str],
+def _write_manifest(args: argparse.Namespace, inputs: tuple[Path, ...],
                     outputs: list[str], path: Path) -> None:
     resolved = {k: v for k, v in vars(args).items() if k not in ("handler", "argv")}
     manifest = {
@@ -126,7 +132,7 @@ def _write_manifest(args: argparse.Namespace, digests: dict[str, str],
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "argv": args.argv,
         "args": resolved,
-        "input_digests": digests,
+        "input_digests": {str(p): _sha256(p) for p in inputs},
         "outputs": outputs,
     }
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -148,10 +154,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     path = _resolve_input(args.input)
     stats = corpus.corpus_stats(_load_docs(args, path), args.ts)
     payload = {"schema_version": 1, **stats.__dict__}
-    _emit(payload, args.pretty, args.out)
-    if args.out:
-        _write_manifest(args, {str(path): _sha256(path)}, [args.out],
-                        Path(args.out).with_suffix(".manifest.json"))
+    _emit(payload, args, args.out, (path,))
     return 0
 
 
@@ -197,7 +200,7 @@ def _embedded(emb_path: Path, dim: int, doc_len: int, sent_len: int, *doc_sets):
     log.info("loading embeddings from %s", emb_path)
     table = embedding.load_embeddings(emb_path, dim, set(grid.vocab))
     log.info("%d of %d vocabulary tokens found in %s (dim %d)",
-             len(table.vocab), len(grid.vocab), emb_path, table.dim)
+             len(table.vocab), len(grid.vocab), emb_path, dim)
     full = m.EmbeddedDataset.build(grid, table)
     views, start = [], 0
     for docs in doc_sets:
@@ -237,6 +240,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     doc_len = args.td
     if doc_len is None:
         doc_len = corpus.compute_doc_threshold([len(tokens) for _, tokens in token_docs])
+    with emb_path.open("rb") as handle:  # bytes: the parse names a line that is not UTF-8
+        dim = handle.readline().count(b" ")
+    if not dim:
+        raise ValueError(f"{emb_path}: the first line holds no embedding values")
 
     config = m.ModelConfig(
         variant=args.variant,
@@ -244,7 +251,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         num_classes=num_classes,
         fc_size=m.FC_SIZES[args.fc],
         sent_len=args.ts,
-        embed_dim=args.dim,
+        embed_dim=dim,
         seed=args.seed,
         lr=args.lr,
         epochs=args.epochs,
@@ -263,7 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         held_out = [token_docs[i] for i in perm[:n_val]]
         token_docs = [token_docs[i] for i in perm[n_val:]]
     train_data, val_data, test_data = _embedded(
-        emb_path, args.dim, doc_len, args.ts, token_docs, held_out, _tokenized(test_docs)
+        emb_path, dim, doc_len, args.ts, token_docs, held_out, _tokenized(test_docs)
     )
 
     net = m.build_model(config)
@@ -296,8 +303,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_text(report_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     outputs.append(str(report_path))
 
-    digests = {str(p): _sha256(p) for p in (train_path, emb_path, test_path, val_path) if p}
-    _write_manifest(args, digests, outputs, out_dir / "manifest.json")
+    inputs = tuple(p for p in (train_path, emb_path, test_path, val_path) if p)
+    _write_manifest(args, inputs, outputs, out_dir / "manifest.json")
 
     summary = {
         "schema_version": 1,
@@ -309,7 +316,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for key in ("best_val_accuracy", "test_accuracy_final", "test_accuracy_best_val"):
         if getattr(report, key) is not None:
             summary[key] = getattr(report, key)
-    _emit(summary, args.pretty, None)
+    _emit(summary, args, None)
     return 0
 
 
@@ -335,11 +342,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "accuracy": int(confusion.trace()) / len(data),
         "confusion_matrix": confusion.tolist(),
     }
-    _emit(payload, args.pretty, args.out)
-    if args.out:
-        digests = {str(p): _sha256(p) for p in (ckpt_path, data_path, emb_path)}
-        _write_manifest(args, digests, [args.out],
-                        Path(args.out).with_suffix(".manifest.json"))
+    _emit(payload, args, args.out, (ckpt_path, data_path, emb_path))
     return 0
 
 
@@ -359,7 +362,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         "label": int(probs.argmax()),
         "probabilities": [float(p) for p in probs],
     }
-    _emit(payload, args.pretty, args.out)
+    _emit(payload, args, args.out)
     return 0
 
 
@@ -428,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--td", type=_int_at_least,
                    help="sentences-per-document threshold (default: derived)")
     p.add_argument("--ts", type=_int_at_least, default=46)
-    p.add_argument("--dim", type=_int_at_least, default=100, help="embedding dimension")
     p.add_argument("--classes", type=lambda value: _int_at_least(value, 2),
                    help="number of classes (default: inferred)")
     p.add_argument("--epochs", type=_int_at_least, default=50)
@@ -495,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.handler(args)
-    except (OSError, ValueError, m.CheckpointError, m.TrainingDivergedError) as exc:
+    except (OSError, ValueError, MemoryError, m.CheckpointError, m.TrainingDivergedError) as exc:
         return _fail(exc)
 
 

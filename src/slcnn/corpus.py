@@ -75,8 +75,9 @@ def load_dataset(
     CSV rows follow the common benchmark layout: first field is a 1-based
     class index, remaining fields are text (e.g. title, body).  JSONL rows
     are ``{"label": int, "text": str}`` with the same 1-based labels.
-    Class indices are shifted to 0-based.  Literal ``\\n`` escapes inside
-    fields become spaces.
+    Class indices, below 2^63, are shifted to 0-based.  Literal ``\\n``
+    escapes inside fields become spaces.  A leading byte-order mark is
+    skipped.
 
     Malformed rows are skipped with a ``path:line: message (row skipped)``
     warning; ``strict=True`` aborts instead, as does a file that is not UTF-8.
@@ -114,7 +115,7 @@ def _decode_field(text: str) -> str:
 
 
 def _load_csv(path: Path, schema, bad_row) -> Iterator[RawDocument]:
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         while True:  # the reader resumes after a row it cannot parse
             try:
@@ -133,8 +134,8 @@ def _load_csv(path: Path, schema, bad_row) -> Iterator[RawDocument]:
                     except ValueError:
                         bad_row(line_no, f"class index {row[0]!r} is not an integer")
                         continue
-                    if stored < 1:
-                        bad_row(line_no, f"class index {stored} is not positive")
+                    if not 1 <= stored < 2**63:  # labels are int64
+                        bad_row(line_no, f"class index {stored} is not in [1, 2^63)")
                         continue
                     fields = [_decode_field(f) for f in row[1:]]
                     if not any(f.strip() for f in fields):
@@ -147,7 +148,7 @@ def _load_csv(path: Path, schema, bad_row) -> Iterator[RawDocument]:
 
 
 def _load_jsonl(path: Path, bad_row) -> Iterator[RawDocument]:
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -159,8 +160,8 @@ def _load_jsonl(path: Path, bad_row) -> Iterator[RawDocument]:
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 bad_row(line_no, f"bad JSON row: {exc}")
                 continue
-            if type(stored) is not int or stored < 1:  # a bool is an int
-                bad_row(line_no, f"class index {stored!r} is not a positive integer")
+            if type(stored) is not int or not 1 <= stored < 2**63:  # a bool is an int
+                bad_row(line_no, f"class index {stored!r} is not an integer in [1, 2^63)")
                 continue
             if not isinstance(text, str) or not text.strip():
                 bad_row(line_no, "document text is empty")

@@ -38,9 +38,8 @@ def _fnv1a64(data: bytes) -> int:
 @dataclass
 class EmbeddingTable:
     """Pretrained vectors: token t has row vocab[t] of *matrix*.  Tokens not
-    in *vocab* get oov_vector(token, dim)."""
+    in *vocab* get oov_vector(token, dim), dim being the matrix's width."""
 
-    dim: int
     vocab: dict[str, int]
     matrix: np.ndarray  # (len(vocab), dim) float32
 
@@ -61,14 +60,14 @@ def load_embeddings(path: str | Path, dim: int,
     With *tokens*, the table holds only the rows of those tokens that the
     file has, and only their values are parsed; None keeps every token.
 
-    Every line is checked for UTF-8 and its field count: fields are
-    separated by single spaces, so a line is well formed when it holds
-    exactly *dim* spaces.  Duplicate tokens keep their first occurrence,
-    and the values of a later duplicate are not parsed.  The values of
-    each kept token's first line must be numbers that are finite in
-    float32; a bad number on a line whose token is not kept is not an
-    error.  Any malformed line raises EmbeddingFormatError naming
-    ``path:line``.
+    Every line is checked for UTF-8 (a leading byte-order mark is
+    skipped) and its field count: fields are separated by single spaces,
+    so a line is well formed when it holds exactly *dim* spaces.  Duplicate
+    tokens keep their first occurrence, and the values of a later duplicate
+    are not parsed.  The values of each kept token's first line must be
+    numbers that are finite in float32; a bad number on a line whose token
+    is not kept is not an error.  Any malformed line raises
+    EmbeddingFormatError naming ``path:line``.
 
     The kept values go through one ``np.loadtxt`` call, so every float
     conversion runs in numpy's C parser.  Its grammar is a decimal number
@@ -91,7 +90,7 @@ def load_embeddings(path: str | Path, dim: int,
     # A line whose values field is empty (dim 1) yields a blank line, which
     # loadtxt skips, so the row count is checked as well.
     if matrix is not None and matrix.shape == (len(vocab), dim) and np.isfinite(matrix).all():
-        return EmbeddingTable(dim=dim, vocab=vocab, matrix=matrix)
+        return EmbeddingTable(vocab=vocab, matrix=matrix)
     for line_no, values in _first_rows(path, dim, {}, tokens):
         try:
             row = _parse_values([values])
@@ -112,7 +111,7 @@ def _first_rows(path: Path, dim: int, vocab: dict[str, int],
     """(line number, values field) of the first line of each token in
     *tokens* (of every token, for None), entering the token in *vocab*; any
     line without exactly *dim* values raises."""
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8-sig") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
                 if line.count(" ") != dim:
@@ -143,10 +142,10 @@ def embedding_matrix_for_vocab(table: EmbeddingTable, vocab: Sequence[str]) -> n
     lacks it, so indexing this matrix with a grid of ids gives the
     document tensor.
     """
-    out = np.zeros((len(vocab) + 1, table.dim), dtype=np.float32)
+    out = np.zeros((len(vocab) + 1, table.matrix.shape[1]), dtype=np.float32)
     rows = np.array([table.vocab.get(token, -1) for token in vocab], dtype=np.int64)
     known = np.flatnonzero(rows >= 0)
     out[known + 1] = table.matrix[rows[known]]
     for i in np.flatnonzero(rows < 0):
-        out[i + 1] = oov_vector(vocab[i], table.dim)
+        out[i + 1] = oov_vector(vocab[i], out.shape[1])
     return out

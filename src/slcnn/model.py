@@ -529,9 +529,7 @@ def train(
     """
     cfg = model.config
     n = len(train_data)
-    blocks = model.param_blocks()
-    names = [name for name, _ in blocks]
-    params = [arr for _, arr in blocks]
+    params = [arr for _, arr in model.param_blocks()]
     state = nn.AdamState.for_params(params, lr=cfg.lr)
     report = TrainReport(config=asdict(cfg))
     best_acc = -1.0
@@ -545,9 +543,9 @@ def train(
         for batch_no, idx in enumerate(_batches(n, cfg.batch_size, order)):
             y = train_data.labels[idx]
             try:
-                losses, logits = _train_step(model, params, names, state, train_data.grids[idx],
-                                             y, train_data.matrix, drop_rng)
-            except (ValueError, nn.OptimizerError) as exc:
+                losses, logits = _train_step(model, params, state, train_data.grids[idx], y,
+                                             train_data.matrix, drop_rng)
+            except FloatingPointError as exc:
                 raise TrainingDivergedError(epoch, batch_no, str(exc)) from exc
             # Losses land at their dataset positions and are reduced in that
             # fixed order, so the epoch loss does not depend on the shuffle.
@@ -570,16 +568,22 @@ def train(
     return report
 
 
-def _train_step(model: Model, params: list[np.ndarray], names: list[str], state: nn.AdamState,
+def _train_step(model: Model, params: list[np.ndarray], state: nn.AdamState,
                 ids: np.ndarray, labels: np.ndarray, matrix: np.ndarray,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One Adam step on the batch ids (batch, rows, words): its per-sample
     losses and its logits.  The forward caches and the gradients die with
-    this call, before the next step's forward starts."""
+    this call, before the next step's forward starts.  Non-finite logits or
+    gradients raise FloatingPointError before any parameter moves."""
     logits, caches = model._forward_with_caches(ids, matrix, rng)
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("logits contain non-finite values")
     losses, grad_logits = nn.softmax_cross_entropy(logits, labels)
     grads = model._backward(caches, grad_logits)
-    nn.adam_step(params, grads, state, names)
+    for (name, _), grad in zip(model.param_blocks(), grads):
+        if not np.isfinite(grad).all():
+            raise FloatingPointError(f"non-finite gradient in {name}")
+    nn.adam_step(params, grads, state)
     return losses, logits
 
 

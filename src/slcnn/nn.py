@@ -1,13 +1,13 @@
 """Minimal deterministic tensor engine for the sentence-level CNN.
 
 Ops take batches only: conv and pool a rank-4 (batch, rows, cols, channels)
-array, channels innermost, and dense a rank-2 (batch, features) array.  The
-model path runs in float32; float64 works too, for gradient checking.  Ops
-do not check the operands the model builds: each rule is checked where its
-data enters, in ModelConfig (shapes, classes, dropout rate), load_checkpoint
-(parameters), load_embeddings (embedding width) and the dataset loaders and
-CLI (labels).  Ops check only what real data can trip, and training reports
-it as divergence: non-finite logits and non-finite gradients.
+array, channels innermost, and dense a rank-2 (batch, features) array.  Ops
+check and cast nothing.  They compute in their operands' dtype: float32 in
+the model, float64 in the gradient checks, which cast a whole model and its
+inputs.  Each rule is checked where its data enters: ModelConfig (shapes,
+classes, dropout rate), load_checkpoint (parameters), the embedding file
+(width), the dataset loaders and CLI (labels).  What real data can trip,
+non-finite logits and gradients, the training step judges as divergence.
 
 Determinism contract: every op is a fixed sequence of numpy calls on its
 operands.  Convolution adds one matmul over the channel axis per filter
@@ -34,10 +34,6 @@ VERTICAL = "vertical"
 # softmax_cross_entropy).  Float32 `tiny` (2^-126) is not enough: products
 # of tiny normal entries still leave subnormals in the parameter gradients.
 GRAD_FLOOR = 2.0**-100
-
-
-class OptimizerError(Exception):
-    """Raised on non-finite gradients, naming the offending parameter block."""
 
 
 # --------------------------------------------------------------------------
@@ -77,20 +73,18 @@ def conv2d_forward(x: np.ndarray, bank: ConvFilterBank) -> tuple[np.ndarray, Con
     batch, m, n, c_in = x.shape
     k, s, t, _ = bank.weights.shape
     om, on = m - s + 1, n - t + 1
-
-    w = bank.weights.astype(x.dtype, copy=False)
     # Tap accumulation in row-major (a, b) order; each tap contracts the
     # channel axis with one GEMM over all batch/spatial positions.
     flat = None
     for a in range(s):
         for b in range(t):
             window = x[:, a : a + om, b : b + on, :].reshape(-1, c_in)
-            contrib = window @ w[:, a, b, :].T
+            contrib = window @ bank.weights[:, a, b, :].T
             if flat is None:
                 flat = contrib
             else:
                 flat += contrib
-    flat += bank.biases.astype(x.dtype, copy=False)
+    flat += bank.biases
     out = flat.reshape(batch, om, on, k)
     mask = out > 0
     np.maximum(out, 0, out=out)
@@ -112,10 +106,9 @@ def conv2d_backward(
     x = cache.x
     k, s, t, c_in = bank.weights.shape
     om, on = up.shape[1], up.shape[2]
-    w = bank.weights.astype(x.dtype, copy=False)
 
     grad_b = up.sum(axis=(0, 1, 2))
-    grad_w = np.zeros_like(w)
+    grad_w = np.zeros_like(bank.weights)
     grad_x = np.zeros_like(x) if need_input_grad else None
     up_flat = up.reshape(-1, k)
     for a in range(s):
@@ -123,9 +116,8 @@ def conv2d_backward(
             window = x[:, a : a + om, b : b + on, :].reshape(-1, c_in)
             grad_w[:, a, b, :] = up_flat.T @ window
             if grad_x is not None:
-                grad_x[:, a : a + om, b : b + on, :] += (up_flat @ w[:, a, b, :]).reshape(
-                    x.shape[0], om, on, c_in
-                )
+                grad_x[:, a : a + om, b : b + on, :] += (
+                    up_flat @ bank.weights[:, a, b, :]).reshape(x.shape[0], om, on, c_in)
     return grad_x, grad_w, grad_b
 
 
@@ -191,8 +183,7 @@ def dense_forward(
     x: np.ndarray, layer: DenseLayer, activation: str = "relu"
 ) -> tuple[np.ndarray, DenseCache]:
     """out = act(x W^T + b) for a batch of vectors x, shaped (B, in)."""
-    w = layer.weights.astype(x.dtype, copy=False)
-    out = x @ w.T + layer.biases.astype(x.dtype, copy=False)
+    out = x @ layer.weights.T + layer.biases
     mask = None
     if activation == "relu":
         mask = out > 0
@@ -206,7 +197,7 @@ def dense_backward(
     up = upstream if cache.relu_mask is None else upstream * cache.relu_mask
     grad_w = up.T @ cache.x
     grad_b = up.sum(axis=0)
-    grad_x = up @ layer.weights.astype(up.dtype, copy=False)
+    grad_x = up @ layer.weights
     return grad_x, grad_w, grad_b
 
 
@@ -243,8 +234,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     the floor.  The floor never fires on the bench's inputs, whose 3-epoch
     runs are not that confident, so it changes no bench output.
     """
-    if not np.isfinite(logits).all():
-        raise ValueError("logits contain non-finite values")
     batch = len(logits)
     rows = np.arange(batch)
     lg = logits.astype(np.float64)
@@ -307,9 +296,8 @@ def adam_step(
     params: Sequence[np.ndarray],
     grads: Sequence[np.ndarray],
     state: AdamState,
-    names: Sequence[str],
 ) -> None:
-    """One Adam update, in place, naming *names[i]* on a non-finite gradient:
+    """One Adam update, in place:
 
         m <- b1 m + (1-b1) g        mhat = m / (1 - b1^t)
         v <- b2 v + (1-b2) g^2      vhat = v / (1 - b2^t)
@@ -319,8 +307,6 @@ def adam_step(
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
     for i, (p, g) in enumerate(zip(params, grads)):
-        if not np.isfinite(g).all():
-            raise OptimizerError(f"non-finite gradient in {names[i]}")
         m, v = state.m[i], state.v[i]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g

@@ -250,7 +250,7 @@ def load_embeddings_per_line(path: Path, dim: int, tokens: set[str] | None = Non
 def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
     """The per-token lookup oracle: the stored row, else the token's OOV draw."""
     row = table.vocab.get(token)
-    return table.matrix[row] if row is not None else oov_vector(token, table.dim)
+    return table.matrix[row] if row is not None else oov_vector(token, table.matrix.shape[1])
 
 
 def as_ids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +270,7 @@ def tensorize(doc: list[list[str]], doc_len: int, sent_len: int,
     """The tensorization oracle: the string crop of *doc* to its first doc_len
     sentences and their first sent_len words, one lookup per kept cell, every
     other cell left zero."""
-    out = np.zeros((doc_len, sent_len, table.dim), dtype=np.float32)
+    out = np.zeros((doc_len, sent_len, table.matrix.shape[1]), dtype=np.float32)
     for i, sentence in enumerate(doc[:doc_len]):
         for j, token in enumerate(sentence[:sent_len]):
             out[i, j] = lookup(table, token)

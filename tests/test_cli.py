@@ -275,18 +275,6 @@ class TestTrain:
         assert flag in err and "not found" not in err
         assert not (tmp_path / "never").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_dim_below_one_exits_2(self, tmp_path, capsys, value):
-        # The inputs do not exist: the flag is rejected before any is read.
-        code, _, err = run_cli([
-            "train", "--input", str(tmp_path / "absent.csv"),
-            "--embeddings", str(tmp_path / "absent.txt"),
-            "--out-dir", str(tmp_path / "never"), f"--dim={value}",
-        ], capsys)
-        assert code == 2
-        assert "--dim" in err and "not found" not in err
-        assert not (tmp_path / "never").exists()
-
     # Word-axis widths that cannot collapse to 1, one class, and a test
     # limit with no test set (which would otherwise be ignored).
     @pytest.mark.parametrize("flag,value,named", [
@@ -319,6 +307,55 @@ class TestTrain:
         assert code == 1
         assert "training diverged" in err and not out
         assert not (tmp_path / "run").exists()
+
+    def test_width_comes_from_the_embedding_file(self, synth_train_csv, synth_embeddings,
+                                                 tmp_path, capsys):
+        tokens = [line.split(" ", 1)[0]
+                  for line in synth_embeddings.read_text(encoding="utf-8").splitlines()]
+        narrow = helpers.write_embeddings_file(tmp_path / "e50.txt", tokens, dim=50)
+        checkpoint = tmp_path / "run" / "model.slcnn"
+        code, _, _ = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(narrow),
+            "--out-dir", str(tmp_path / "run"), "--limit", "8", "--epochs", "1",
+            "--batch-size", "8",
+        ], capsys)
+        assert code == 0
+        assert m.load_checkpoint(checkpoint).config.embed_dim == 50
+        code, out, _ = run_cli([
+            "eval", "--checkpoint", str(checkpoint), "--input", str(synth_train_csv),
+            "--embeddings", str(narrow), "--limit", "8",
+        ], capsys)
+        assert code == 0 and json.loads(out)["num_documents"] == 8
+
+    @pytest.mark.parametrize("content", ["", "stocks\n"], ids=["empty", "no_values"])
+    def test_embedding_file_without_values_exits_2(self, synth_train_csv, tmp_path, capsys,
+                                                   content):
+        path = tmp_path / "vectors.txt"
+        path.write_text(content, encoding="utf-8")
+        code, out, err = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(path),
+            "--out-dir", str(tmp_path / "never"), "--limit", "8", "--epochs", "1",
+        ], capsys)
+        assert code == 2 and not out
+        assert f"error: {path}: the first line holds no embedding values" in err
+        assert not (tmp_path / "never").exists()
+
+    # Far beyond any machine's address space, so numpy refuses at once:
+    # 10^15 classes need a 3.55 EiB output layer, --td 10^15 a 163 PiB grid.
+    @pytest.mark.parametrize("case", ["classes", "td"])
+    def test_allocation_beyond_memory_is_one_error(self, synth_embeddings, tmp_path, capsys,
+                                                   case):
+        docs = helpers.make_synthetic_docs(2, num_classes=4, seed=3)
+        if case == "classes":
+            docs.append(corpus.RawDocument(label=10**15 - 1, fields=["Stocks rallied."]))
+        path = helpers.write_dataset_csv(tmp_path / "data.csv", docs)
+        code, out, err = run_cli([
+            "train", "--input", str(path), "--embeddings", str(synth_embeddings),
+            "--out-dir", str(tmp_path / "never"), "--epochs", "1",
+        ] + ["--td", str(10**15)] * (case == "td"), capsys)
+        assert code == 1 and not out
+        assert "error: Unable to allocate" in err and "Traceback" not in err
+        assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
     def test_out_dir_on_a_regular_file_exits_2(self, tmp_path, capsys, under):
@@ -519,6 +556,17 @@ class TestRerun:
         assert code == 2
         assert "--oov-seed" in err and str(stats_manifest) in err and not out
         assert Path(recorded["outputs"][0]).read_text() == "earlier\n"
+
+    def test_recorded_dim_flag_cannot_replay(self, trained, tmp_path, capsys):
+        recorded = json.loads((trained / "manifest.json").read_text())
+        recorded["argv"].append("--dim=100")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(recorded))
+        code, out, err = run_cli(["rerun", str(manifest), "--out-dir", str(tmp_path / "replay")],
+                                 capsys)
+        assert code == 2
+        assert "--dim" in err and str(manifest) in err and not out
+        assert not (tmp_path / "replay").exists()
 
     @pytest.mark.parametrize("tail", [
         ["--ts", "abc"], ["--ts", 46], ["--schema", 5], ["--input", 7],
@@ -791,6 +839,42 @@ class TestUnusableInput:
             warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
             assert len(warnings) == 1
             assert warnings[0].startswith(f"{path}:1: field larger than field limit")
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["skipped", "strict"])
+    @pytest.mark.parametrize("index", [2**63, 10**30])
+    @pytest.mark.parametrize("kind", ["csv", "jsonl"])
+    def test_class_index_beyond_int64_is_a_malformed_row(self, tmp_path, caplog, capsys, kind,
+                                                         index, strict):
+        rows = [(index, "Stocks rallied."), (2, "Markets closed higher.")]
+        path = tmp_path / f"data.{kind}"
+        path.write_text("".join(f'{i},"{text}"\n' if kind == "csv"
+                                else json.dumps({"label": i, "text": text}) + "\n"
+                                for i, text in rows), encoding="utf-8")
+        code, out, err = run_cli(["stats", "--input", str(path)] + ["--strict"] * strict, capsys)
+        if strict:
+            assert code == 2 and not out
+            assert f"{path}:1: class index {index} is not" in err
+        else:
+            assert code == 0
+            assert json.loads(out)["num_documents"] == 1
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            assert len(warnings) == 1
+            assert warnings[0].startswith(f"{path}:1: class index {index} is not")
+
+    @pytest.mark.parametrize("kind", ["csv", "jsonl"])
+    def test_byte_order_mark_loses_no_document(self, tmp_path, caplog, capsys, kind):
+        docs = helpers.make_synthetic_docs(10, num_classes=4, seed=3)
+        path = tmp_path / f"data.{kind}"
+        if kind == "csv":
+            helpers.write_dataset_csv(path, docs)
+        else:
+            path.write_text("".join(json.dumps({"label": d.label + 1, "text": d.text()}) + "\n"
+                                    for d in docs), encoding="utf-8")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, out, _ = run_cli(["stats", "--input", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["num_documents"] == 40
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
     @pytest.mark.parametrize("kind", ["csv", "jsonl", "embeddings"])
     def test_non_utf8_file_names_its_line(self, synth_train_csv, synth_embeddings, tmp_path,
@@ -1092,6 +1176,7 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("command,flag", [
         ("train", "--oov-seed=0"),
+        ("train", "--dim=100"),
         ("eval", "--oov-seed=0"),
         ("predict", "--oov-seed=0"),
         ("eval", "--dim=100"),

@@ -39,6 +39,14 @@ class TestLoadEmbeddings:
         assert toy_table.matrix[toy_table.vocab["a"]].tolist() == [1.0, 2.0]
         assert toy_table.matrix[toy_table.vocab["b"]].tolist() == [3.0, 4.0]
 
+    @pytest.mark.parametrize("tokens", [None, {"a"}], ids=["all", "kept"])
+    def test_byte_order_mark_keeps_the_first_vector(self, tmp_path, tokens):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"\xef\xbb\xbfa 1.0 2.0\nb 3.0 4.0\n")
+        table = load_embeddings(path, 2, tokens)
+        assert table.vocab["a"] == 0
+        assert table.matrix[0].tolist() == [1.0, 2.0]
+
     def test_arity_error_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("x 1.0\n", encoding="utf-8")

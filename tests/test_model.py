@@ -370,6 +370,36 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(net, data)
 
+    def test_non_finite_logits_are_divergence(self):
+        data = random_dataset(8, 4, 2, seed=23)
+        net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=2, seed=3,
+                                      epochs=1, batch_size=8))
+        net.out.biases[1] = np.nan
+        with pytest.raises(TrainingDivergedError,
+                           match="epoch 0, batch 0: logits contain non-finite values"):
+            train(net, data)
+
+    def test_non_finite_gradient_names_its_block(self, monkeypatch):
+        # Every block's gradient is checked before Adam moves any parameter.
+        data = random_dataset(8, 4, 2, seed=23)
+        net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=2, seed=3,
+                                      epochs=1, batch_size=8))
+        before = net.param_values()
+        fc1_w = [name for name, _ in net.param_blocks()].index("fc1.w")
+        backward = net._backward
+
+        def poisoned(caches, grad_logits):
+            grads = backward(caches, grad_logits)
+            grads[fc1_w][0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(net, "_backward", poisoned)
+        with pytest.raises(TrainingDivergedError,
+                           match="epoch 0, batch 0: non-finite gradient in fc1.w"):
+            train(net, data)
+        for arr, (name, now) in zip(before, net.param_blocks()):
+            assert np.array_equal(arr, now), name
+
 
 # --------------------------------------------------------------------------
 # Evaluation
