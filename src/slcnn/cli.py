@@ -6,13 +6,19 @@ dataset or embedding file), 1 any other failure (a corrupt checkpoint,
 diverged training, a failed write, an allocation beyond the machine).
 ``train``, and ``stats``/``eval`` with ``--out``, write a run manifest: the
 exact argv the command was parsed from, the sha256 of every input and the
-resolved values (``args``, a record only).  ``predict`` writes none; its
-text may come from stdin, which a manifest cannot replay.  ``slcnn rerun
-manifest.json`` checks every input digest, then parses the recorded argv
-again (plus any ``--out-dir``), so every command-line rule holds for a
-replay; a manifest without an argv (schema 1) is refused.  Artifacts are
-written to a temp file and renamed into place, so a failed write never
-leaves a truncated file.
+resolved values (``args``, a record only).  ``predict`` writes no
+manifest; its text may come from stdin, which a manifest cannot replay.
+``slcnn rerun manifest.json`` checks every input digest, then parses the
+recorded argv again (plus any ``--out-dir``), so every command-line rule
+holds for a replay; a manifest without an argv (schema 1) is refused.
+Artifacts are written to a temp file and renamed into place, so a failed
+write never leaves a truncated file.
+
+``train``, ``eval`` and ``predict`` may write one more file:
+``<embeddings>.slcnn-index``, the embedding file's line index (see
+``embedding.load_embeddings``), beside the embedding file when no index
+there matches it.  When that write fails, it is skipped and the exit code
+does not change.
 
 ``train`` takes the embedding width from the first line of its embedding
 file.  ``eval`` and ``predict`` take every model setting (grid shape,
@@ -104,9 +110,9 @@ def _sha256(path: Path) -> str:
 
 
 def _write_text(path: Path | str, text: str) -> None:
-    from .model import _write_atomic
+    from .fileio import write_atomic
 
-    _write_atomic(path, text.encode("utf-8"))
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _emit(payload: dict, args: argparse.Namespace, out: str | None,
@@ -190,8 +196,8 @@ def _embedded(emb_path: Path, dim: int, doc_len: int, sent_len: int, *doc_sets):
     """One EmbeddedDataset per set of (label, sentences) documents, or None
     for an empty set.  All sets share one grid vocabulary and one embedding
     matrix.  The embedding file is read once, after the grid is built, and
-    only the rows of the grid vocabulary's tokens are parsed; the table is
-    dropped on return."""
+    only the rows of the grid vocabulary's tokens are parsed, through the
+    file's line index when one matches; the table is dropped on return."""
     from . import corpus, embedding, model as m
 
     grid = corpus.build_grid_dataset_from_token_docs(
@@ -292,9 +298,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     outputs.append(str(checkpoint_path))
 
     if net.best_params is not None:
-        net.load_param_values(net.best_params)
-        if test_data is not None:
-            report.test_accuracy_best_val = m.evaluate(net, test_data)
+        if report.best_val_epoch == config.epochs - 1:  # the final parameters are the best
+            report.test_accuracy_best_val = report.test_accuracy_final
+        else:
+            net.load_param_values(net.best_params)
+            if test_data is not None:
+                report.test_accuracy_best_val = m.evaluate(net, test_data)
         best_path = out_dir / "model_best.slcnn"
         m.save_checkpoint(net, best_path)
         outputs.append(str(best_path))

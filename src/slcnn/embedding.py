@@ -1,15 +1,27 @@
 """Pretrained word vectors, and the rows a grid dataset's vocabulary indexes.
 
 Embeddings are frozen: they contribute no trainable parameters.  A run
-parses only the rows of the tokens its grid vocabulary holds; every line of
-the file is still checked for its field count and UTF-8.  Tokens missing
-from the table get a deterministic random vector drawn uniformly from
-[-0.01, 0.01], keyed by the token alone, so the draw is independent of
-vocabulary order and process restarts and no setting can change it.
+parses only the rows of the tokens its grid vocabulary holds.  The first
+run on a file scans it and checks every line for its field count and
+UTF-8; when all pass, it leaves a line index beside the file
+(``<path>.slcnn-index``), and later runs read only their own lines through
+it.  The index is trusted while the file's stat and the width match the
+ones it records, and each line read through it is checked again.
+
+Tokens missing from the table get a deterministic random vector drawn
+uniformly from [-0.01, 0.01], keyed by the token alone, so the draw is
+independent of vocabulary order and process restarts and no setting can
+change it.
 """
 
 from __future__ import annotations
 
+import array
+import codecs
+import io
+import logging
+import os
+import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,13 +29,25 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import fileio
 from .corpus import not_utf8_message
 
+log = logging.getLogger("slcnn")
+
 OOV_RANGE = 0.01
+INDEX_SUFFIX = ".slcnn-index"
+# git's "racy clean" rule: a file modified this recently may be rewritten in
+# place within its timestamp's granularity and keep its stat, so a scan of it
+# leaves no index.
+SETTLED_NS = 2_000_000_000
 
 
 class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding files."""
+
+
+class _NoUsableIndex(Exception):
+    """The line index is missing or unreadable, or does not match its file."""
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -62,12 +86,23 @@ def load_embeddings(path: str | Path, dim: int,
 
     Every line is checked for UTF-8 (a leading byte-order mark is
     skipped) and its field count: fields are separated by single spaces,
-    so a line is well formed when it holds exactly *dim* spaces.  Duplicate
-    tokens keep their first occurrence, and the values of a later duplicate
-    are not parsed.  The values of each kept token's first line must be
-    numbers that are finite in float32; a bad number on a line whose token
-    is not kept is not an error.  Any malformed line raises
-    EmbeddingFormatError naming ``path:line``.
+    so a line is well formed when it holds exactly *dim* spaces.  A file
+    with no lines is malformed.  Duplicate tokens keep their first
+    occurrence, and the values of a later duplicate are not parsed.  The
+    values of each kept token's first line must be numbers that are finite
+    in float32; a bad number on a line whose token is not kept is not an
+    error.  Any malformed line raises EmbeddingFormatError naming
+    ``path:line``.
+
+    With *tokens*, a scan in which every line passed those checks leaves a
+    line index beside the file, ``<path>.slcnn-index`` (see _write_index),
+    and a later call reads only its kept lines through it.  The index is
+    trusted only while the file's stat matches the one it records and
+    *dim* is the width it was checked at; each kept line is then checked
+    again for UTF-8, its token and its field count.  Any mismatch means a
+    full scan.  The file's stat and every line it gives come from one open
+    descriptor, so a file replaced by a rename during the call is read as
+    it was when opened.  With None, no index is read or written.
 
     The kept values go through one ``np.loadtxt`` call, so every float
     conversion runs in numpy's C parser.  Its grammar is a decimal number
@@ -76,22 +111,32 @@ def load_embeddings(path: str | Path, dim: int,
     ``float()``: digit-group underscores (``1_0``) and non-ASCII digits are
     rejected.  A parsed value must be finite in float32, so nan, inf and a
     number beyond float32's range (``3e40``) are malformed too.  loadtxt
-    reads ahead, so when it fails, or a value is not finite, the file is
-    read again one row at a time to name the first bad line.
+    reads ahead, so when it fails, or a value is not finite, the rows are
+    read again one at a time to name the first bad line.
     """
     path = Path(path)
+    try:
+        return _load(path, dim, tokens, indexed=tokens is not None)
+    except _NoUsableIndex:  # a scan, which leaves an index that matches
+        return _load(path, dim, tokens, indexed=False)
+
+
+def _load(path: Path, dim: int, tokens: AbstractSet[str] | None,
+          indexed: bool) -> EmbeddingTable:
+    """load_embeddings, reading the rows through the line index with *indexed*."""
     vocab: dict[str, int] = {}
     try:
-        matrix = _parse_values(values for _, values in _first_rows(path, dim, vocab, tokens))
+        matrix = _parse_values(values for _, values in _first_rows(path, dim, vocab, tokens,
+                                                                   indexed))
     except ValueError:
         matrix = None
-    if matrix is not None and not vocab:  # no kept row, or an empty file
+    if matrix is not None and not vocab:  # no kept row
         matrix = np.zeros((0, dim), dtype=np.float32)
     # A line whose values field is empty (dim 1) yields a blank line, which
     # loadtxt skips, so the row count is checked as well.
     if matrix is not None and matrix.shape == (len(vocab), dim) and np.isfinite(matrix).all():
         return EmbeddingTable(vocab=vocab, matrix=matrix)
-    for line_no, values in _first_rows(path, dim, {}, tokens):
+    for line_no, values in _first_rows(path, dim, {}, tokens, indexed):
         try:
             row = _parse_values([values])
         except ValueError as exc:
@@ -106,23 +151,136 @@ def load_embeddings(path: str | Path, dim: int,
     raise EmbeddingFormatError(f"{path}: malformed embedding file")
 
 
-def _first_rows(path: Path, dim: int, vocab: dict[str, int],
-                tokens: AbstractSet[str] | None) -> Iterator[tuple[int, str]]:
+def _first_rows(path: Path, dim: int, vocab: dict[str, int], tokens: AbstractSet[str] | None,
+                indexed: bool) -> Iterator[tuple[int, str]]:
     """(line number, values field) of the first line of each token in
-    *tokens* (of every token, for None), entering the token in *vocab*; any
-    line without exactly *dim* values raises."""
-    with path.open("r", encoding="utf-8-sig") as handle:
+    *tokens* (of every token, for None), in file order, entering the token
+    in *vocab*: through the line index with *indexed*, else by a scan.  The
+    file is opened once; its key and every line come from that descriptor,
+    so a file replaced by a rename meanwhile is never mixed with it."""
+    with path.open("rb") as handle:
+        stat = os.fstat(handle.fileno())
+        rows = _indexed_rows if indexed else _scan
+        yield from rows(path, handle, stat, dim, vocab, tokens)
+
+
+def _scan(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
+          vocab: dict[str, int], tokens: AbstractSet[str] | None) -> Iterator[tuple[int, str]]:
+    """_first_rows read from every line; any line without exactly *dim*
+    values raises, and so does a file with no lines.  With *tokens*, a scan
+    of a file last modified at least SETTLED_NS before it starts records
+    each line's token and byte offset and leaves the index."""
+    names = None
+    if tokens is not None and stat.st_mtime_ns <= time.time_ns() - SETTLED_NS:
+        names, offsets = io.StringIO(), array.array("q")
+    # Byte offsets, counting each line end as the one byte "\n" that text
+    # mode reads it as; _write_index corrects them for CRLF files.
+    offset = len(codecs.BOM_UTF8) if handle.peek(3)[:3] == codecs.BOM_UTF8 else 0
+    line_no = 0
+    with io.TextIOWrapper(handle, encoding="utf-8-sig") as text:
         try:
-            for line_no, line in enumerate(handle, start=1):
+            for line_no, line in enumerate(text, start=1):
                 if line.count(" ") != dim:
                     raise EmbeddingFormatError(f"{path}:{line_no}: expected token + {dim} "
                                                f"values, got {line.count(' ') + 1} fields")
                 token, _, values = line.partition(" ")
+                if names is not None:
+                    names.write(token + "\n")
+                    offsets.append(offset)
+                    offset += len(line) if line.isascii() else len(line.encode("utf-8"))
                 if token not in vocab and (tokens is None or token in tokens):
                     vocab[token] = len(vocab)
                     yield line_no, values
         except UnicodeDecodeError as exc:
             raise EmbeddingFormatError(not_utf8_message(path, exc)) from None
+        if not line_no:
+            raise EmbeddingFormatError(f"{path}: the file holds no lines")
+        if names is not None:
+            _write_index(path, handle, stat, dim, names.getvalue(), offsets, text.newlines)
+
+
+def _index_path(path: Path) -> Path:
+    return path.with_name(path.name + INDEX_SUFFIX)
+
+
+def _file_key(stat: os.stat_result) -> str:
+    """The identity of a file's content that the index is keyed by."""
+    return " ".join(str(v) for v in (stat.st_dev, stat.st_ino, stat.st_size,
+                                     stat.st_mtime_ns, stat.st_ctime_ns))
+
+
+def _write_index(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
+                 names: str, offsets: array.array, newlines: str | tuple | None) -> None:
+    """Write the line index of the file open as *handle*, whose *stat* was
+    taken before the scan: an uncompressed npz (each member carries a CRC)
+    of the file's key, *dim*, and the token (*names* holds each one followed
+    by a newline) and byte offset of every line, in file order.  Nothing is written when the
+    file changed during the scan, or has a line that ends in a bare CR, or
+    mixes LF and CRLF ends; a failed write is skipped."""
+    if (newlines not in (None, "\n", "\r\n")
+            or _file_key(os.fstat(handle.fileno())) != _file_key(stat)):
+        return
+    starts = np.array(offsets, dtype=np.int64)
+    if newlines == "\r\n":  # every line before line n ends in two bytes
+        starts += np.arange(len(starts))
+    buffer = io.BytesIO()
+    np.savez(buffer, key=np.array(_file_key(stat)), dim=np.int64(dim),
+             tokens=np.frombuffer(names.encode("utf-8"), np.uint8), offsets=starts)
+    index = _index_path(path)
+    try:
+        fileio.write_atomic(index, buffer.getvalue())
+    except OSError:  # a read-only directory or a full disk: later runs scan
+        return
+    log.info("wrote the line index of %s to %s", path, index)
+
+
+def _indexed_rows(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
+                  vocab: dict[str, int], tokens: AbstractSet[str]) -> Iterator[tuple[int, str]]:
+    """_first_rows read through the line index: each kept line is read at
+    the offset the index records, up to the next line's.  Raises
+    _NoUsableIndex when the index is missing or unreadable, does not match
+    *stat* or *dim*, or a kept line does not decode as UTF-8, start with its
+    token and a space, hold exactly *dim* spaces and end, with an LF or
+    CRLF, where the next line starts (the last line may end at the file's
+    end instead)."""
+    try:
+        with _index_path(path).open("rb") as index_file, \
+                np.load(index_file, allow_pickle=False) as index:
+            if (str(index["key"]), int(index["dim"])) != (_file_key(stat), dim):
+                raise _NoUsableIndex
+            if not tokens:  # no line to read, so no other member either
+                return
+            names = str(index["tokens"], "utf-8")
+            offsets = index["offsets"]
+    except Exception:  # absent, truncated or corrupt in any way
+        raise _NoUsableIndex from None
+    if not (offsets.dtype == np.int64 and offsets.shape == (names.count("\n"),) != (0,)):
+        raise _NoUsableIndex
+    stops = np.append(offsets[1:], stat.st_size)  # each line ends where the next starts
+    if offsets[0] < 0 or (stops <= offsets).any():
+        raise _NoUsableIndex
+    # The index's tokens are read one at a time: the strings of a whole
+    # token list, freed among the table's tokens, would keep their memory
+    # resident.  Lines are read with pread: a memory map would count every
+    # page it touches in the process's resident size.
+    wanted = {token + "\n" for token in tokens}
+    for i, name in enumerate(io.StringIO(names)):
+        if name not in wanted:
+            continue
+        wanted.remove(name)  # a later duplicate is not read
+        start, stop = int(offsets[i]), int(stops[i])
+        raw = os.pread(handle.fileno(), stop - start, start)
+        if not raw.endswith(b"\n") and stop != stat.st_size:
+            raise _NoUsableIndex
+        try:
+            line = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+        except UnicodeDecodeError:
+            raise _NoUsableIndex from None
+        token, _, values = line.partition(" ")
+        if token != name[:-1] or "\r" in line or "\n" in line or line.count(" ") != dim:
+            raise _NoUsableIndex
+        vocab[token] = len(vocab)
+        yield i + 1, values
 
 
 def _parse_values(lines: Iterable[str]) -> np.ndarray:

@@ -38,7 +38,6 @@ import json
 import logging
 import math
 import os
-import secrets
 import struct
 import time
 import zlib
@@ -50,7 +49,7 @@ import numpy as np
 
 from .corpus import GridDataset
 from .embedding import EmbeddingTable, embedding_matrix_for_vocab
-from . import nn
+from . import fileio, nn
 
 SLCNN = "slcnn"
 SLCNN_V = "slcnn+v"
@@ -632,26 +631,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         body += struct.pack(f"<{arr.ndim}I", *arr.shape)
         body += arr.astype("<f4", copy=False).tobytes()
     body += struct.pack("<I", zlib.crc32(bytes(body)))
-    _write_atomic(path, bytes(body))
-
-
-def _write_atomic(path: str | Path, data: bytes) -> None:
-    """Write *data* to a new temp file beside *path*, then rename it over
-    *path*, so a failed or interrupted write leaves any earlier file whole
-    and no partial one.  There is no fsync: this guards against the process
-    failing, not the host.  An OS error is raised again, of its class, naming
-    *path* rather than the temp file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    try:
-        with open(tmp, "xb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.strerror:
-            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
-        raise
+    fileio.write_atomic(path, bytes(body))
 
 
 def load_checkpoint(path: str | Path) -> Model:

@@ -10,6 +10,7 @@ import math
 import os
 import statistics
 import struct
+import time
 import zlib
 from pathlib import Path
 
@@ -139,6 +140,14 @@ def write_embeddings_file(
     return path
 
 
+def back_date(path: Path, age_s: float = 3600.0) -> Path:
+    """*path* with its mtime set *age_s* seconds back: a scan of an embedding
+    file leaves a line index only once the file is two seconds old."""
+    past = time.time_ns() - int(age_s * 1e9)
+    os.utime(path, ns=(past, past))
+    return path
+
+
 def corpus_vocab(docs: list[RawDocument]) -> list[str]:
     seen: dict[str, None] = {}
     for doc in docs:
@@ -223,9 +232,10 @@ def load_embeddings_per_line(path: Path, dim: int, tokens: set[str] | None = Non
     None).  Returns (vocab, matrix) with first occurrences kept, or raises
     EmbeddingFormatError naming the first malformed line: a wrong field
     count on any line, or a bad value on a parsed one; a value that is not
-    finite in float32 is malformed."""
+    finite in float32 is malformed.  A file with no lines is malformed."""
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
+    line_no = 0
     with path.open("r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             parts = line.rstrip("\n").split(" ")
@@ -243,6 +253,8 @@ def load_embeddings_per_line(path: Path, dim: int, tokens: set[str] | None = Non
                 raise EmbeddingFormatError(f"{path}:{line_no}: non-finite value")
             vocab[token] = len(rows)
             rows.append(vec)
+    if not line_no:
+        raise EmbeddingFormatError(f"{path}: no lines")
     matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
     return vocab, matrix
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from slcnn import cli, corpus, embedding, nn
+from slcnn import cli, corpus, embedding, fileio, nn
 from slcnn import model as m
 from slcnn.cli import main
 
@@ -113,6 +114,30 @@ def trained(tmp_path_factory, synth_train_csv, synth_embeddings):
 
 
 class TestTrain:
+    def test_a_best_last_epoch_is_not_evaluated_again(self, synth_train_csv, synth_test_csv,
+                                                      synth_embeddings, tmp_path, monkeypatch,
+                                                      capsys):
+        sizes, evaluate = [], m.evaluate
+
+        def counting(net, data):
+            sizes.append(len(data))
+            return evaluate(net, data)
+
+        monkeypatch.setattr(m, "evaluate", counting)
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli([
+            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+            "--test", str(synth_test_csv), "--out-dir", str(out_dir),
+            "--limit", "40", "--epochs", "1", "--batch-size", "16",
+        ], capsys)
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["best_val_epoch"] == 0
+        assert len(sizes) == 2  # the validation set once, then the test set once
+        assert report["test_accuracy_best_val"] == report["test_accuracy_final"]
+        assert (out_dir / "model_best.slcnn").read_bytes() == \
+            (out_dir / "model.slcnn").read_bytes()
+
     def test_invalid_config_exits_2_before_training(self, synth_train_csv, synth_embeddings,
                                                     tmp_path, capsys):
         out_dir = tmp_path / "never"
@@ -713,6 +738,16 @@ class TestEval:
         assert f"{narrow}:1:" in err and not out
         assert not out_file.exists()
 
+    def test_empty_embedding_file_exits_2(self, trained, synth_train_csv, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        code, out, err = run_cli([
+            "eval", "--checkpoint", str(trained / "model.slcnn"),
+            "--input", str(synth_train_csv), "--embeddings", str(empty),
+        ], capsys)
+        assert code == 2 and not out
+        assert f"error: {empty}: " in err
+
     def test_corrupt_checkpoint_exits_1(self, trained, synth_train_csv, synth_embeddings,
                                         tmp_path, capsys):
         bad = tmp_path / "bad.slcnn"
@@ -753,6 +788,19 @@ class TestPredict:
         assert len(probs) == 4
         assert abs(sum(probs) - 1.0) < 1e-6
         assert payload["label"] == int(np.argmax(probs))
+
+    @pytest.mark.parametrize("raw", [b"", b"\xef\xbb\xbf"], ids=["empty", "bom_only"])
+    def test_embedding_file_with_no_lines_exits_2(self, trained, tmp_path, capsys, raw):
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(raw)
+        helpers.back_date(empty)
+        code, out, err = run_cli([
+            "predict", "--checkpoint", str(trained / "model.slcnn"),
+            "--embeddings", str(empty), "--text", "hello world",
+        ], capsys)
+        assert code == 2 and not out
+        assert f"error: {empty}: " in err
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.txt"]
 
     def test_probabilities_sum_to_one_across_random_texts(self, trained, synth_embeddings,
                                                           capsys):
@@ -1095,7 +1143,7 @@ class TestOutFlag:
     def test_failed_write_names_the_target_not_its_temp_file(self, tmp_path, target, error):
         (tmp_path / "taken").mkdir()
         with pytest.raises(error) as info:
-            m._write_atomic(tmp_path / target, b"{}\n")
+            fileio.write_atomic(tmp_path / target, b"{}\n")
         assert str(tmp_path / target) in str(info.value) and ".tmp" not in str(info.value)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
@@ -1203,3 +1251,87 @@ class TestExitCodeContract:
         proc = run_cli_subprocess(["--version"])
         assert proc.returncode == 0
         assert "slcnn" in proc.stdout
+
+
+class TestEmbeddingIndex:
+    """A run writes the embedding file's line index when the file is settled,
+    and its outputs do not depend on whether the index was absent, built by
+    the run or read."""
+
+    @pytest.fixture
+    def commands(self, trained, synth_train_csv, synth_test_csv) -> dict[str, list[str]]:
+        checkpoint = str(trained / "model.slcnn")
+        return {
+            "predict_empty": ["predict", "--checkpoint", checkpoint, "--text", ""],
+            "predict": ["predict", "--checkpoint", checkpoint, "--text", "Stocks fell. Zzqx!"],
+            "eval": ["eval", "--checkpoint", checkpoint, "--input", str(synth_train_csv),
+                     "--limit", "16"],
+            "train": ["train", "--input", str(synth_train_csv), "--test", str(synth_test_csv),
+                      "--limit", "24", "--epochs", "2", "--batch-size", "8"],
+        }
+
+    @staticmethod
+    def _outputs(out_dir: Path) -> list:
+        """The checkpoints and the report of a train run, but its timings."""
+        report = json.loads((out_dir / "report.json").read_text())
+        del report["epoch_seconds"]
+        return [report, *((p.name, p.read_bytes()) for p in sorted(out_dir.glob("*.slcnn")))]
+
+    @pytest.mark.parametrize("name", ["predict_empty", "predict", "eval", "train"])
+    def test_outputs_match_in_every_index_state(self, commands, synth_embeddings, tmp_path,
+                                                caplog, capsys, name):
+        caplog.set_level(logging.INFO, logger="slcnn")
+        emb = tmp_path / "vectors.txt"
+        emb.write_bytes(synth_embeddings.read_bytes())
+        index = tmp_path / ("vectors.txt" + embedding.INDEX_SUFFIX)
+        runs = []
+        for state in ("absent", "built", "read"):
+            if state == "built":
+                helpers.back_date(emb)
+            out_dir = tmp_path / state
+            argv = [*commands[name], "--embeddings", str(emb)]
+            caplog.clear()
+            code, out, _ = run_cli(argv + (["--out-dir", str(out_dir)] if name == "train"
+                                           else []), capsys)
+            assert code == 0
+            assert index.exists() == (state != "absent")
+            assert (f"wrote the line index of {emb}" in caplog.text) == (state == "built")
+            runs.append(self._outputs(out_dir) if name == "train" else out)
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.fixture
+    def predict_argv(self, trained) -> list[str]:
+        return ["predict", "--checkpoint", str(trained / "model.slcnn"), "--text", "Stocks fell."]
+
+    def test_read_only_directory_exits_0_and_writes_no_index(self, predict_argv,
+                                                             synth_embeddings, tmp_path, capsys):
+        folder = tmp_path / "read_only"
+        folder.mkdir()
+        emb = folder / "vectors.txt"
+        emb.write_bytes(synth_embeddings.read_bytes())
+        helpers.back_date(emb)
+        folder.chmod(0o555)
+        try:
+            if os.access(folder, os.W_OK):
+                pytest.skip("this user may write to a read-only directory")
+            code, out, _ = run_cli([*predict_argv, "--embeddings", str(emb)], capsys)
+        finally:
+            folder.chmod(0o755)
+        assert code == 0 and json.loads(out)["probabilities"]
+        assert [p.name for p in folder.iterdir()] == ["vectors.txt"]
+
+    def test_failed_index_write_exits_0(self, predict_argv, synth_embeddings, tmp_path,
+                                        monkeypatch, capsys):
+        emb = tmp_path / "vectors.txt"
+        emb.write_bytes(synth_embeddings.read_bytes())
+        code, want, _ = run_cli([*predict_argv, "--embeddings", str(emb)], capsys)
+        assert code == 0
+
+        def full_disk(path, data):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(fileio, "write_atomic", full_disk)
+        helpers.back_date(emb)
+        code, out, err = run_cli([*predict_argv, "--embeddings", str(emb)], capsys)
+        assert (code, out) == (0, want) and "error" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import codecs
+import os
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,9 @@ from slcnn.corpus import (
     build_grid_dataset_from_token_docs,
     preprocess_document,
 )
+from slcnn import embedding, fileio
 from slcnn.embedding import (
+    INDEX_SUFFIX,
     EmbeddingFormatError,
     EmbeddingTable,
     embedding_matrix_for_vocab,
@@ -208,19 +213,22 @@ def embedding_lines(draw) -> tuple[int, list[str]]:
     return dim, lines
 
 
-def _write(lines: list[str], eol: str, final_eol: bool, directory: str) -> Path:
+def _write(lines: list[str], eol: str, final_eol: bool, directory: str,
+           bom: bool = False) -> Path:
     text = eol.join(lines) + (eol if lines and final_eol else "")
     path = Path(directory) / "emb.txt"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
     return path
 
 
 def _outcome(load, path: Path):
-    """("ok", vocab, matrix bits) or ("error", line number)."""
+    """("ok", vocab, matrix bits) or ("error", line number, or None for a
+    file with no lines)."""
     try:
         vocab, matrix = load(path)
     except EmbeddingFormatError as exc:
-        return ("error", int(re.search(r":(\d+):", str(exc)).group(1)))
+        line = re.search(r":(\d+):", str(exc))
+        return ("error", int(line.group(1)) if line else None)
     return ("ok", vocab, matrix.shape, matrix.view(np.uint32).tobytes())
 
 
@@ -256,7 +264,7 @@ class TestOnePassParser:
             new, oracle = _both(_write(lines, eol, final_eol, tmp), dim)
         assert new == oracle
         if not lines:
-            assert new[2] == (0, dim)
+            assert new == ("error", None)
 
     @settings(max_examples=300, deadline=None)
     @given(embedding_lines(), st.sampled_from(sorted(MALFORMED)), st.data(),
@@ -362,3 +370,256 @@ class TestVocabularyFilter:
         path.write_bytes(b"a 1 2\ncaf\xe9 1 2\n")
         with pytest.raises(EmbeddingFormatError, match=":2: not UTF-8"):
             load_embeddings(path, 2, {"a"})
+
+
+# --------------------------------------------------------------------------
+# The line index beside the file
+# --------------------------------------------------------------------------
+
+def _index(path: Path) -> Path:
+    return path.with_name(path.name + INDEX_SUFFIX)
+
+
+def _loaded(path: Path, dim: int, tokens: set[str] | None):
+    def load(p):
+        table = load_embeddings(p, dim, tokens)
+        return table.vocab, table.matrix
+
+    return _outcome(load, path)
+
+
+def _members(path: Path) -> dict[str, np.ndarray]:
+    with np.load(path, allow_pickle=False) as index:
+        return {name: index[name] for name in index.files}
+
+
+def _rewrite_index(path: Path, **members) -> None:
+    """Rewrite the index of *path* with *members* replaced."""
+    np.savez(_index(path), **{**_members(_index(path)), **members})
+
+
+class TestLineIndex:
+    TEXT = "a 1.0 2.0\nb 3.0 4.0\na 9.0 9.0\nc -0.5 0.25\nd 5.0 6.0\n"
+
+    @pytest.fixture
+    def settled(self, tmp_path) -> Path:
+        path = tmp_path / "emb.txt"
+        path.write_text(self.TEXT, encoding="utf-8")
+        return helpers.back_date(path)
+
+    def test_written_then_used(self, settled, monkeypatch):
+        tokens = {"a", "c", "absent"}
+        scanned = _loaded(settled, 2, tokens)
+        assert _index(settled).exists()
+        assert scanned[:2] == ("ok", {"a": 0, "c": 1})
+        full = load_embeddings(settled, 2)
+        monkeypatch.setattr(embedding, "_scan", None)  # any scan now fails
+        assert _loaded(settled, 2, tokens) == scanned
+        table = load_embeddings(settled, 2, tokens)
+        assert table.matrix.tobytes() == full.matrix[[full.vocab["a"], full.vocab["c"]]].tobytes()
+        assert _loaded(settled, 2, set()) == ("ok", {}, (0, 2), b"")
+
+    def test_the_index_records_each_line(self, settled):
+        load_embeddings(settled, 2, set())
+        index = _members(_index(settled))
+        assert sorted(index) == ["dim", "key", "offsets", "tokens"]
+        assert bytes(index["tokens"]).decode("utf-8") == "a\nb\na\nc\nd\n"
+        raw = settled.read_bytes()
+        assert [raw[o:].split(b" ")[0] for o in index["offsets"]] == [b"a", b"b", b"a", b"c",
+                                                                      b"d"]
+        assert int(index["dim"]) == 2
+
+    @pytest.mark.parametrize("age_s", [0.0, 1.0])
+    def test_a_recent_file_gets_no_index(self, tmp_path, age_s):
+        path = tmp_path / "emb.txt"
+        path.write_text(self.TEXT, encoding="utf-8")
+        if age_s:
+            helpers.back_date(path, age_s)
+        assert _loaded(path, 2, {"a"})[0] == "ok"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+    def test_the_full_parse_reads_and_writes_no_index(self, settled, monkeypatch):
+        load_embeddings(settled, 2)
+        assert sorted(p.name for p in settled.parent.iterdir()) == ["emb.txt"]
+        load_embeddings(settled, 2, {"a"})
+        assert _index(settled).exists()
+        monkeypatch.setattr(embedding, "_indexed_rows", None)  # any read now fails
+        assert load_embeddings(settled, 2).vocab == {"a": 0, "b": 1, "c": 2, "d": 3}
+
+    @pytest.mark.parametrize("text", ["", "\ufeff"], ids=["empty", "bom_only"])
+    @pytest.mark.parametrize("tokens", [None, {"a"}], ids=["all", "kept"])
+    def test_a_file_with_no_lines_is_malformed(self, tmp_path, text, tokens):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        helpers.back_date(path)
+        with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(str(path))}: "):
+            load_embeddings(path, 2, tokens)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+    @pytest.mark.parametrize("raw", [
+        b"\xef\xbb\xbfa 1 2\nb 3 4\na 5 6\nc 7 8\n",
+        b"a 1 2\r\nb 3 4\r\na 5 6\r\nc 7 8\r\n",
+        b"\xef\xbb\xbfa 1 2\r\nb 3 4\r\na 5 6\r\nc 7 8",
+        "\u00e9t\u00e9 1 2\nb 3 4\n\u00e9t\u00e9 5 6\nc\u20ac 7 8\n".encode("utf-8"),
+        b"a 1 2\nb 3 4\na 5 6\nc 7 8",
+    ], ids=["bom", "crlf", "bom_crlf_no_final_eol", "non_ascii", "no_final_eol"])
+    def test_bom_crlf_and_duplicates_give_the_scans_matrix(self, tmp_path, raw, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(raw)
+        tokens = {"a", "b", "c", "\u00e9t\u00e9", "c\u20ac"}
+        scanned = _loaded(path, 2, tokens)  # too recent to index
+        assert scanned[0] == "ok" and len(scanned[1]) == 3
+        assert np.frombuffer(scanned[3], np.float32).tolist() == [1, 2, 3, 4, 7, 8]
+        helpers.back_date(path)
+        assert _loaded(path, 2, set()) == ("ok", {}, (0, 2), b"")
+        assert _index(path).exists()
+        monkeypatch.setattr(embedding, "_scan", None)  # any scan now fails
+        assert _loaded(path, 2, tokens) == scanned
+
+    @pytest.mark.parametrize("raw", [b"a 1 2\rb 3 4\r", b"a 1 2\nb 3 4\r\n"],
+                             ids=["bare_cr", "mixed"])
+    def test_bare_cr_or_mixed_line_ends_get_no_index(self, tmp_path, raw):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(raw)
+        helpers.back_date(path)
+        assert _loaded(path, 2, {"b"})[:2] == ("ok", {"b": 0})
+        assert not _index(path).exists()
+
+    def test_bad_value_on_a_kept_line_is_named_through_the_index(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\nc 5 oops\nd 7 inf\n", encoding="utf-8")
+        kept = [{"a", "c"}, {"d", "b"}, {"c"}]
+        scanned = [_loaded(path, 2, tokens) for tokens in kept]  # too recent to index
+        assert scanned == [("error", 3), ("error", 4), ("error", 3)]
+        helpers.back_date(path)
+        assert _loaded(path, 2, {"a"})[0] == "ok"
+        assert _index(path).exists()
+        monkeypatch.setattr(embedding, "_scan", None)  # any scan now fails
+        assert [_loaded(path, 2, tokens) for tokens in kept] == scanned
+        with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(str(path))}:3: "):
+            load_embeddings(path, 2, {"c"})
+
+    @staticmethod
+    def _rewrite_in_place(path: Path, old: bytes, new: bytes) -> None:
+        """Replace *old* by *new*, of its size, in the file's own bytes, and
+        restore its mtime; the change time moves on as the kernel's clock does."""
+        before = path.stat()
+        at = path.read_bytes().index(old)
+        while True:
+            with path.open("r+b") as handle:
+                handle.seek(at)
+                handle.write(new)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            if path.stat().st_ctime_ns != before.st_ctime_ns:
+                return
+            time.sleep(0.01)
+
+    @pytest.mark.parametrize("old,new,outcome", [
+        (b"c -0.5", b"e -0.5", ("ok", {"a": 0})),
+        (b"d 5.0 6.0", b"d 5.0,6.0", ("error", 5)),
+    ], ids=["kept_token_renamed", "unused_line_field_count"])
+    def test_a_same_size_rewrite_is_not_served_from_the_old_index(self, settled, old, new,
+                                                                 outcome):
+        tokens = {"a", "c"}
+        assert _loaded(settled, 2, tokens)[:2] == ("ok", {"a": 0, "c": 1})
+        size = settled.stat().st_size
+        self._rewrite_in_place(settled, old, new)
+        assert settled.stat().st_size == size
+        assert _loaded(settled, 2, tokens)[:2] == outcome
+        fresh = settled.with_name("fresh.txt")
+        fresh.write_bytes(settled.read_bytes())
+        assert _loaded(fresh, 2, tokens)[:2] == outcome  # as the scan sees it
+
+    def test_a_kept_line_that_no_longer_matches_means_a_scan(self, settled):
+        # A rewrite the file's stat does not show: the index is re-keyed to
+        # the rewritten file, so only the check of each kept line can tell.
+        tokens = {"a", "c"}
+        load_embeddings(settled, 2, tokens)
+        self._rewrite_in_place(settled, b"c -0.5", b"e -0.5")
+        _rewrite_index(settled, key=np.array(embedding._file_key(settled.stat())))
+        assert _loaded(settled, 2, tokens)[:2] == ("ok", {"a": 0})
+        names = bytes(_members(_index(settled))["tokens"]).decode("utf-8")
+        assert names == "a\nb\na\ne\nd\n"  # rewritten by the scan
+
+    def test_a_file_replaced_during_a_read_is_never_mixed_with_it(self, settled, monkeypatch):
+        tokens = {"a", "c"}
+        old = _loaded(settled, 2, tokens)
+        assert _index(settled).exists()
+        # Same layout, other values: the old index's offsets fit the new file.
+        new = settled.with_name("new.txt")
+        new.write_text(self.TEXT.replace("1.0 2.0", "1.5 2.5").replace("0.25", "0.75"),
+                       encoding="utf-8")
+        replaced = _loaded(new, 2, tokens)
+        assert replaced[:2] == old[:2] and replaced[3] != old[3]
+        index_path = embedding._index_path
+
+        def replace_first(path):  # runs once the file is open, before its index is read
+            monkeypatch.setattr(embedding, "_index_path", index_path)
+            os.replace(new, settled)
+            return index_path(path)
+
+        monkeypatch.setattr(embedding, "_index_path", replace_first)
+        assert _loaded(settled, 2, tokens) == old  # read from the open file
+        assert _loaded(settled, 2, tokens) == replaced  # another key: a scan
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "other_dim", "not_an_index",
+                                        "short_offsets", "offsets_not_increasing", "no_lines"])
+    def test_an_unusable_index_is_ignored_and_rewritten(self, settled, damage):
+        tokens = {"a", "c"}
+        scanned = _loaded(settled, 2, tokens)
+        good = _members(_index(settled))
+        raw = _index(settled).read_bytes()
+        if damage == "truncated":
+            _index(settled).write_bytes(raw[: len(raw) // 2])
+        elif damage == "corrupt":
+            at = raw.index(b"a\nb\na\nc\nd")
+            _index(settled).write_bytes(raw[:at + 2] + b"x" + raw[at + 3:])
+        elif damage == "other_dim":
+            _rewrite_index(settled, dim=np.int64(3))
+        elif damage == "not_an_index":
+            _index(settled).write_text("a 1.0 2.0\n", encoding="utf-8")
+        elif damage == "no_lines":
+            _rewrite_index(settled, tokens=np.zeros(0, np.uint8), offsets=np.zeros(0, np.int64))
+        elif damage == "short_offsets":
+            _rewrite_index(settled, offsets=good["offsets"][:2])
+        else:
+            _rewrite_index(settled, offsets=good["offsets"][::-1].copy())
+        assert _loaded(settled, 2, tokens) == scanned
+        rewritten = _members(_index(settled))
+        assert rewritten.keys() == good.keys()
+        for name, array in good.items():
+            assert np.array_equal(rewritten[name], array)
+
+    def test_an_index_of_another_width_is_not_used(self, tmp_path):
+        # The same file read at the wrong width fails as the scan does.
+        path = tmp_path / "emb.txt"
+        path.write_text(self.TEXT, encoding="utf-8")
+        helpers.back_date(path)
+        load_embeddings(path, 2, {"a"})
+        with pytest.raises(EmbeddingFormatError, match=":1: expected token \\+ 3 values"):
+            load_embeddings(path, 3, {"a"})
+
+    def test_a_failed_index_write_is_skipped(self, settled, monkeypatch):
+        def fail(path, data):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(fileio, "write_atomic", fail)
+        assert _loaded(settled, 2, {"a"})[:2] == ("ok", {"a": 0})
+        assert sorted(p.name for p in settled.parent.iterdir()) == ["emb.txt"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(filtered_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans())
+    @example((2, ["a 1 2", "b 3 4", "a 5 6"], {"a", "zz"}), "\r\n", True, True)
+    def test_the_index_gives_the_scans_outcome(self, case, eol, final_eol, bom):
+        dim, lines, tokens = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(lines, eol, final_eol, tmp, bom)
+            scanned = _loaded(path, dim, tokens)  # too recent to index
+            assert not _index(path).exists()
+            helpers.back_date(path)
+            built = _loaded(path, dim, set())
+            assert _index(path).exists() == (built[0] == "ok")
+            assert _loaded(path, dim, tokens) == scanned
+            if not bom:
+                assert scanned == _outcome(
+                    lambda p: helpers.load_embeddings_per_line(p, dim, tokens), path)
