@@ -246,8 +246,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     doc_len = args.td
     if doc_len is None:
         doc_len = corpus.compute_doc_threshold([len(tokens) for _, tokens in token_docs])
-    with emb_path.open("rb") as handle:  # bytes: the parse names a line that is not UTF-8
-        dim = handle.readline().count(b" ")
+    with emb_path.open(encoding="latin-1") as handle:  # reads any byte, ends a line at CR too
+        dim = handle.readline().count(" ")
     if not dim:
         raise ValueError(f"{emb_path}: the first line holds no embedding values")
 

@@ -99,12 +99,12 @@ def load_dataset(
 
 
 def not_utf8_message(path: Path, exc: UnicodeDecodeError) -> str:
-    """``path:line: ...`` naming the first line of *path* that is not UTF-8;
-    text is decoded in chunks, so only re-reading the bytes tells the line."""
-    with path.open("rb") as handle:
+    """``path:line: ...`` naming the first line of *path* that is not UTF-8, lines ending at
+    LF, CRLF or a bare CR; text is decoded in chunks, so only re-reading tells the line."""
+    with path.open(encoding="latin-1", newline="") as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
-                line.decode("utf-8")
+                line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError:
                 break
     return f"{path}:{line_no}: not UTF-8 text ({exc.reason})"

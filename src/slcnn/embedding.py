@@ -212,23 +212,22 @@ def _file_key(stat: os.stat_result) -> str:
 def _write_index(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
                  names: str, offsets: array.array, newlines: str | tuple | None) -> None:
     """Write the line index of the file open as *handle*, whose *stat* was
-    taken before the scan: an uncompressed npz (each member carries a CRC)
-    of the file's key, *dim*, and the token (*names* holds each one followed
-    by a newline) and byte offset of every line, in file order.  Nothing is written when the
-    file changed during the scan, or has a line that ends in a bare CR, or
-    mixes LF and CRLF ends; a failed write is skipped."""
+    taken before the scan: an npz (see fileio) of the file's key, *dim*, and
+    the token (*names* holds each one followed by a newline) and byte offset
+    of every line, in file order.  Nothing is written when the file changed
+    during the scan, or has a line that ends in a bare CR, or mixes LF and
+    CRLF ends; a failed write is skipped."""
     if (newlines not in (None, "\n", "\r\n")
             or _file_key(os.fstat(handle.fileno())) != _file_key(stat)):
         return
     starts = np.array(offsets, dtype=np.int64)
     if newlines == "\r\n":  # every line before line n ends in two bytes
         starts += np.arange(len(starts))
-    buffer = io.BytesIO()
-    np.savez(buffer, key=np.array(_file_key(stat)), dim=np.int64(dim),
-             tokens=np.frombuffer(names.encode("utf-8"), np.uint8), offsets=starts)
     index = _index_path(path)
     try:
-        fileio.write_atomic(index, buffer.getvalue())
+        fileio.write_npz(index, {"key": np.array(_file_key(stat)), "dim": np.int64(dim),
+                                 "tokens": np.frombuffer(names.encode("utf-8"), np.uint8),
+                                 "offsets": starts})
     except OSError:  # a read-only directory or a full disk: later runs scan
         return
     log.info("wrote the line index of %s to %s", path, index)
@@ -244,14 +243,13 @@ def _indexed_rows(path: Path, handle: io.BufferedReader, stat: os.stat_result, d
     CRLF, where the next line starts (the last line may end at the file's
     end instead)."""
     try:
-        with _index_path(path).open("rb") as index_file, \
-                np.load(index_file, allow_pickle=False) as index:
-            if (str(index["key"]), int(index["dim"])) != (_file_key(stat), dim):
-                raise _NoUsableIndex
-            if not tokens:  # no line to read, so no other member either
-                return
-            names = str(index["tokens"], "utf-8")
-            offsets = index["offsets"]
+        index = fileio.read_npz(_index_path(path))
+        if (str(index["key"]), int(index["dim"])) != (_file_key(stat), dim):
+            raise _NoUsableIndex
+        if not tokens:  # no line to read
+            return
+        names = str(index["tokens"], "utf-8")
+        offsets = index["offsets"]
     except Exception:  # absent, truncated or corrupt in any way
         raise _NoUsableIndex from None
     if not (offsets.dtype == np.int64 and offsets.shape == (names.count("\n"),) != (0,)):

@@ -30,17 +30,18 @@ and the dense head run on the whole batch.
 
 Embeddings are frozen and live outside the model; trainable parameters
 are exactly the conv banks and the three dense layers.
+
+A checkpoint is an npz of the config and the parameter blocks (see
+save_checkpoint); same-seed runs write byte-identical ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
-import os
-import struct
 import time
-import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -66,9 +67,6 @@ EVAL_BATCH = 256  # documents per forward pass of predict_labels and evaluate
 # at the Yelp shape (batch 64, 20 rows per doc; 64-384 tried) and tied 64
 # at the AG shape (4 rows per doc).
 ROW_BLOCK = 128
-
-CHECKPOINT_MAGIC = b"SLCN"
-CHECKPOINT_VERSION = 1
 
 # Seed-stream ids so shuffling, dropout, and init never share a stream.
 STREAM_INIT = 0
@@ -613,72 +611,39 @@ def confusion_matrix(labels: np.ndarray, preds: np.ndarray, num_classes: int) ->
 # --------------------------------------------------------------------------
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Binary checkpoint: magic ``SLCN``, u16 format version, a
-    length-prefixed canonical-JSON config blob, the parameter blocks in
-    declaration order (name, shape, little-endian float32 data), and a
-    trailing CRC32 of everything before it."""
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<H", CHECKPOINT_VERSION)
-    config_blob = json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":")).encode()
-    body += struct.pack("<I", len(config_blob))
-    body += config_blob
-    for name, arr in model.param_blocks():
-        raw_name = name.encode()
-        body += struct.pack("<H", len(raw_name))
-        body += raw_name
-        body += struct.pack("<B", arr.ndim)
-        body += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        body += arr.astype("<f4", copy=False).tobytes()
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
-    fileio.write_atomic(path, bytes(body))
+    """An uncompressed npz, through fileio: member ``config`` holds the
+    config's canonical JSON (sorted keys, compact separators) as uint8, then
+    one little-endian float32 member per parameter block follows, named and
+    ordered as param_blocks()."""
+    config = json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":"))
+    members = {"config": np.frombuffer(config.encode(), dtype=np.uint8)}
+    members.update((name, arr.astype("<f4", copy=False)) for name, arr in model.param_blocks())
+    fileio.write_npz(path, members)
 
 
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; forward outputs are bit-identical
-    to the saved model's."""
-    data = Path(path).read_bytes()
-    if len(data) < 10:
-        raise CheckpointError(f"truncated checkpoint: {path}")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise CheckpointError(f"checksum mismatch (corrupt checkpoint): {path}")
-    view = memoryview(data[:-4])
-
-    def take(n: int) -> memoryview:
-        nonlocal view
-        if len(view) < n:
-            raise CheckpointError(f"truncated checkpoint: {path}")
-        chunk, view = view[:n], view[n:]
-        return chunk
-
-    if bytes(take(4)) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"not a checkpoint file (bad magic): {path}")
-    (version,) = struct.unpack("<H", take(2))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}: {path}")
-    (config_len,) = struct.unpack("<I", take(4))
-    try:  # bytes that are not UTF-8, not JSON, or a ConfigError: all ValueErrors
-        config = ModelConfig(**json.loads(bytes(take(config_len)).decode()))
-    except (ValueError, TypeError) as exc:
+    to the saved model's.  Anything but the members save_checkpoint writes,
+    and a non-finite value, raises CheckpointError naming *path*."""
+    try:
+        members = fileio.read_npz(path)
+        config = ModelConfig(**json.loads(members["config"].tobytes().decode()))
+    except fileio.NpzError as exc:
+        raise CheckpointError(f"not an npz checkpoint ({exc}): {path}") from None
+    except (KeyError, ValueError, TypeError) as exc:  # no config, not UTF-8 or JSON, a ConfigError
         raise CheckpointError(f"bad config blob in checkpoint: {exc}: {path}") from exc
 
     model = build_model(config)
-    for name, arr in model.param_blocks():
-        (name_len,) = struct.unpack("<H", take(2))
-        stored_name = bytes(take(name_len))
-        if stored_name != name.encode():
-            raise CheckpointError(f"parameter block {stored_name.decode(errors='replace')!r} "
-                                  f"where {name!r} expected: {path}")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        if shape != arr.shape:
-            raise CheckpointError(
-                f"block {name}: stored shape {shape} != expected {arr.shape}: {path}")
-        count = int(np.prod(shape)) if shape else 1
-        arr[...] = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-        if not np.isfinite(arr).all():
+    blocks = model.param_blocks()
+    for stored, expected in itertools.zip_longest(members, ["config"] + [n for n, _ in blocks]):
+        if stored != expected:
+            raise CheckpointError(f"member {stored!r} where {expected!r} expected: {path}")
+    for name, arr in blocks:
+        value = members[name]
+        if (value.dtype.str, value.shape) != ("<f4", arr.shape):
+            raise CheckpointError(f"block {name}: stored {value.dtype.str} {value.shape} != "
+                                  f"expected <f4 {arr.shape}: {path}")
+        if not np.isfinite(value).all():
             raise CheckpointError(f"block {name}: non-finite values in checkpoint {path}")
-    if len(view):
-        raise CheckpointError(f"trailing bytes in checkpoint: {path}")
+        arr[...] = value
     return model

@@ -3,20 +3,20 @@ independent oracles the tests check production code against."""
 
 from __future__ import annotations
 
+import binascii
 import csv
 import dataclasses
 import json
 import math
 import os
 import statistics
-import struct
 import time
-import zlib
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from slcnn import model, nn
+from slcnn import fileio, model, nn
 from slcnn.corpus import RawDocument, preprocess_document
 from slcnn.embedding import EmbeddingFormatError, EmbeddingTable, oov_vector
 from slcnn.model import Model, ModelConfig, build_model
@@ -157,68 +157,149 @@ def corpus_vocab(docs: list[RawDocument]) -> list[str]:
     return list(seen)
 
 
-def _first_block_name(body: bytes) -> int:
-    """Offset of the first parameter block's name in a checkpoint body."""
-    (blob_len,) = struct.unpack("<I", body[6:10])
-    return 10 + blob_len + 2
+def v1_checkpoint(members: dict[str, np.ndarray]) -> bytes:
+    """The checkpoint of *members* (a config and blocks, as read_npz gives
+    them) in the format that preceded the npz container: magic ``SLCN``, u16
+    version 1, the u32-length-prefixed config, then each block as its
+    u16-length-prefixed name, u8 ndim, u32 dims and float32 data, and last
+    the CRC-32 of all of it, every number little-endian."""
+    def num(value: int, size: int) -> bytes:
+        return value.to_bytes(size, "little")
+
+    config = members["config"].tobytes()
+    body = b"SLCN" + num(1, 2) + num(len(config), 4) + config
+    for name, arr in list(members.items())[1:]:
+        body += (num(len(name), 2) + name.encode() + num(arr.ndim, 1)
+                 + b"".join(num(d, 4) for d in arr.shape) + arr.astype("<f4").tobytes())
+    return body + num(binascii.crc32(body), 4)
 
 
-def _renamed_first_block(name: bytes):
-    """A defect that stores the first block's name as *name*, of the same length."""
-    def defect(body: bytes) -> bytes:
-        at = _first_block_name(body)
-        return body[:at] + name + body[at + len(name):]
+def _members_edit(edit):
+    """A defect that edits the checkpoint's arrays and writes them back
+    through fileio.write_npz, so every member carries a valid CRC."""
+    def defect(path: Path) -> None:
+        members = fileio.read_npz(path)
+        edit(members)
+        fileio.write_npz(path, members)
     return defect
 
 
-def _widened_first_block(body: bytes) -> bytes:
-    at = _first_block_name(body) + len("hcb1.conv1.w") + 1  # past the name and ndim
-    k, s, t, c_in = struct.unpack("<4I", body[at:at + 16])
-    return body[:at] + struct.pack("<4I", k, s, t, c_in + 1) + body[at + 16:]
+def _npy_edit(edit):
+    """A defect that edits the checkpoint's members as .npy bytes, keyed by
+    their zip names, and writes them back as a zip that gives each a valid
+    CRC."""
+    def defect(path: Path) -> None:
+        with zipfile.ZipFile(path) as archive:
+            files = {name: archive.read(name) for name in archive.namelist()}
+        edit(files)
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in files.items():
+                archive.writestr(name, data)
+    return defect
+
+
+def _replaced(content):
+    """A defect that replaces the checkpoint file by content(its path)."""
+    def defect(path: Path) -> None:
+        path.write_bytes(content(path))
+    return defect
+
+
+def _first_block_npy(path: Path) -> bytes:
+    with zipfile.ZipFile(path) as archive:
+        return archive.read("hcb1.conv1.w.npy")
+
+
+def _renamed(old: str, new: str):
+    """An edit that renames member *old* to *new*, in its place."""
+    def edit(members: dict) -> None:
+        items = [(new if name == old else name, arr) for name, arr in members.items()]
+        members.clear()
+        members.update(items)
+    return edit
 
 
 def _retyped_config(name: str, convert):
-    """A defect that stores config field *name* as convert(its value): the
+    """An edit that stores config field *name* as convert(its value): the
     same number, of another JSON type."""
-    def defect(body: bytes) -> bytes:
-        (blob_len,) = struct.unpack("<I", body[6:10])
-        config = json.loads(body[10:10 + blob_len])
+    def edit(members: dict) -> None:
+        config = json.loads(members["config"].tobytes())
         config[name] = convert(config[name])
         blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-        return body[:6] + struct.pack("<I", len(blob)) + blob + body[10 + blob_len:]
-    return defect
+        members["config"] = np.frombuffer(blob, np.uint8)
+    return edit
 
 
-# Defects of a checkpoint body that only the checks behind its CRC can
-# catch, each with the text of the CheckpointError it must raise (which
-# also names the file).
+def _mapped(name: str, convert):
+    """An edit that replaces member *name* by convert(it)."""
+    def edit(members: dict) -> None:
+        members[name] = convert(members[name])
+    return edit
+
+
+def _widened(arr: np.ndarray) -> np.ndarray:
+    k, s, t, c_in = arr.shape
+    return np.zeros((k, s, t, c_in + 1), arr.dtype)
+
+
+# Defects of a checkpoint behind valid member CRCs, each with the text of
+# the CheckpointError it must raise (which also names the file).  Each
+# defect edits the checkpoint file at the path it is given.
 CHECKPOINT_DEFECTS = {
-    "bad_magic": (lambda body: b"SLCX" + body[4:], "bad magic"),
-    "version": (lambda body: body[:4] + struct.pack("<H", 2) + body[6:],
-                "unsupported checkpoint version 2"),
-    "block_name": (_renamed_first_block(b"hcb9.conv1.w"),
+    # Files that are not the npz container.
+    "bad_magic": (_replaced(lambda path: b"SLCX" + path.read_bytes()[4:]),
+                  "not an npz checkpoint (not a zip file)"),
+    "npy_file": (_replaced(_first_block_npy), "not an npz checkpoint (not a zip file)"),
+    # The same model in the format before the npz container, its version 1.
+    "version": (_replaced(lambda path: v1_checkpoint(fileio.read_npz(path))),
+                "not an npz checkpoint (not a zip file)"),
+    # The members, by name and order.
+    "block_name": (_members_edit(_renamed("hcb1.conv1.w", "hcb9.conv1.w")),
                    "'hcb9.conv1.w' where 'hcb1.conv1.w' expected"),
-    "block_name_not_utf8": (_renamed_first_block(b"\xffcb1.conv1.w"),
-                            "'\ufffdcb1.conv1.w' where 'hcb1.conv1.w' expected"),
-    "shape": (_widened_first_block, "block hcb1.conv1.w: stored shape"),
-    "trailing_bytes": (lambda body: body + b"\0", "trailing bytes"),
-    "truncated": (lambda body: body[:-257], "truncated checkpoint"),
-    "float_doc_len": (_retyped_config("doc_len", float),
-                      "bad config blob in checkpoint: doc_len must be an integer"),
-    "float_num_filters": (_retyped_config("num_filters", float),
-                          "bad config blob in checkpoint: num_filters must be an integer"),
-    "bool_seed": (_retyped_config("seed", bool),
-                  "bad config blob in checkpoint: seed must be an integer"),
-    "config_not_utf8": (lambda body: body[:10] + b"\xff" + body[11:],
+    # zip reads a name not flagged as UTF-8 as cp437, where 0xff is U+00A0.
+    "block_name_not_utf8": (_replaced(lambda path: path.read_bytes().replace(
+                                b"hcb1.conv1.w.npy", b"\xffcb1.conv1.w.npy")),
+                            "'\\xa0cb1.conv1.w' where 'hcb1.conv1.w' expected"),
+    "missing_block": (_members_edit(lambda members: members.pop("out.b")),
+                      "member None where 'out.b' expected"),
+    "reordered_blocks": (_members_edit(lambda members: members.update(
+                             {"hcb1.conv1.w": members.pop("hcb1.conv1.w")})),
+                         "'hcb1.conv1.b' where 'hcb1.conv1.w' expected"),
+    # Data after the last block.
+    "trailing_bytes": (_members_edit(lambda members: members.update(
+                           trailing=np.zeros(1, "<f4"))),
+                       "member 'trailing' where None expected"),
+    # A block's array.
+    "shape": (_members_edit(_mapped("hcb1.conv1.w", _widened)),
+              "block hcb1.conv1.w: stored <f4 ("),
+    "float64": (_members_edit(_mapped("hcb1.conv1.w", lambda arr: arr.astype("<f8"))),
+                "block hcb1.conv1.w: stored <f8 ("),
+    "big_endian": (_members_edit(_mapped("hcb1.conv1.w", lambda arr: arr.astype(">f4"))),
+                   "block hcb1.conv1.w: stored >f4 ("),
+    # The last block's .npy cut short, with the CRC of what is left.
+    "truncated": (_npy_edit(_mapped("out.b.npy", lambda data: data[:-4])),
+                  "not an npz checkpoint (ValueError: EOF: reading array data"),
+    # The config.
+    "missing_config": (_members_edit(lambda members: members.pop("config")),
+                       "bad config blob in checkpoint: 'config'"),
+    "config_not_utf8": (_members_edit(_mapped("config", lambda blob: np.concatenate(
+                            [np.array([0xFF], np.uint8), blob[1:]]))),
                         "bad config blob in checkpoint: 'utf-8' codec can't decode byte 0xff"),
+    "config_not_json": (_members_edit(lambda members: members.update(
+                            config=np.frombuffer(b"{", np.uint8))),
+                        "bad config blob in checkpoint: Expecting property name"),
+    "float_doc_len": (_members_edit(_retyped_config("doc_len", float)),
+                      "bad config blob in checkpoint: doc_len must be an integer"),
+    "float_num_filters": (_members_edit(_retyped_config("num_filters", float)),
+                          "bad config blob in checkpoint: num_filters must be an integer"),
+    "bool_seed": (_members_edit(_retyped_config("seed", bool)),
+                  "bad config blob in checkpoint: seed must be an integer"),
 }
 
 
-def defective_checkpoint(raw: bytes, defect: str) -> bytes:
-    """The checkpoint file *raw* with one of CHECKPOINT_DEFECTS, sealed with
-    a recomputed CRC32 so that the checksum check passes."""
-    body = CHECKPOINT_DEFECTS[defect][0](raw[:-4])
-    return body + struct.pack("<I", zlib.crc32(body))
+def defective_checkpoint(path: Path, defect: str) -> None:
+    """Give the checkpoint file at *path* one of CHECKPOINT_DEFECTS."""
+    CHECKPOINT_DEFECTS[defect][0](path)
 
 
 # --------------------------------------------------------------------------

@@ -365,6 +365,22 @@ class TestTrain:
         assert f"error: {path}: the first line holds no embedding values" in err
         assert not (tmp_path / "never").exists()
 
+    def test_bare_cr_line_ends_give_the_lf_files_checkpoint(self, synth_train_csv,
+                                                           synth_embeddings, tmp_path, capsys):
+        # The width comes from the first line, which ends at a bare CR too.
+        bare_cr = tmp_path / "cr.txt"
+        bare_cr.write_bytes(synth_embeddings.read_bytes().replace(b"\n", b"\r"))
+        checkpoints = []
+        for name, emb in (("lf", synth_embeddings), ("cr", bare_cr)):
+            code, _, err = run_cli([
+                "train", "--input", str(synth_train_csv), "--embeddings", str(emb),
+                "--out-dir", str(tmp_path / name), "--limit", "16", "--epochs", "1",
+                "--batch-size", "8",
+            ], capsys)
+            assert code == 0, err
+            checkpoints.append((tmp_path / name / "model.slcnn").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
     # Far beyond any machine's address space, so numpy refuses at once:
     # 10^15 classes need a 3.55 EiB output layer, --td 10^15 a 163 PiB grid.
     @pytest.mark.parametrize("case", ["classes", "td"])
@@ -759,21 +775,33 @@ class TestEval:
             "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
         ], capsys)
         assert code == 1
-        assert "checksum" in err
+        assert "Bad CRC-32" in err
 
 
     @pytest.mark.parametrize("defect", sorted(helpers.CHECKPOINT_DEFECTS))
     def test_defective_checkpoint_exits_1(self, trained, synth_train_csv, synth_embeddings,
                                           tmp_path, capsys, defect):
         bad = tmp_path / "bad.slcnn"
-        bad.write_bytes(helpers.defective_checkpoint((trained / "model.slcnn").read_bytes(),
-                                                     defect))
+        bad.write_bytes((trained / "model.slcnn").read_bytes())
+        helpers.defective_checkpoint(bad, defect)
         code, out, err = run_cli([
             "eval", "--checkpoint", str(bad),
             "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
         ], capsys)
         assert code == 1
         assert helpers.CHECKPOINT_DEFECTS[defect][1] in err and str(bad) in err and not out
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_v1_checkpoint_is_refused_in_one_line(self, trained, synth_train_csv,
+                                                  synth_embeddings, tmp_path, capsys, command):
+        old = tmp_path / "v1.slcnn"
+        old.write_bytes(helpers.v1_checkpoint(fileio.read_npz(trained / "model.slcnn")))
+        rest = (["--input", str(synth_train_csv)] if command == "eval"
+                else ["--text", "Stocks fell."])
+        code, out, err = run_cli([command, "--checkpoint", str(old), "--embeddings",
+                                  str(synth_embeddings), *rest], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: not an npz checkpoint (not a zip file): {old}"]
 
 
 class TestPredict:
@@ -1207,6 +1235,16 @@ class TestThreadFlag:
         for var in self.VARS:
             assert os.environ[var] == "8"
 
+    def test_parsing_the_flags_imports_no_numpy(self):
+        # numpy reads the thread-count variables once, when it is imported.
+        code = ("import sys, slcnn.cli; slcnn.cli.build_parser().parse_args("
+                "['train', '--input', 'x.csv', '--embeddings', 'v.txt', '--out-dir', 'o', "
+                "'--threads', '2']); "
+                "print('numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
 
 class TestExitCodeContract:
     def test_unknown_flag_is_usage_error(self):
@@ -1319,6 +1357,22 @@ class TestEmbeddingIndex:
             folder.chmod(0o755)
         assert code == 0 and json.loads(out)["probabilities"]
         assert [p.name for p in folder.iterdir()] == ["vectors.txt"]
+
+    def test_a_directory_at_the_index_path_exits_0_and_leaves_no_temp_file(
+            self, predict_argv, synth_embeddings, tmp_path, capsys):
+        # The temp file is written, then renaming it over a directory fails:
+        # for any user, root included.
+        emb = tmp_path / "vectors.txt"
+        emb.write_bytes(synth_embeddings.read_bytes())
+        code, want, _ = run_cli([*predict_argv, "--embeddings", str(emb)], capsys)
+        assert code == 0
+        (tmp_path / ("vectors.txt" + embedding.INDEX_SUFFIX)).mkdir()
+        helpers.back_date(emb)
+        code, out, err = run_cli([*predict_argv, "--embeddings", str(emb)], capsys)
+        assert (code, out) == (0, want) and "error" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "vectors.txt", "vectors.txt" + embedding.INDEX_SUFFIX]
+        assert not any((tmp_path / ("vectors.txt" + embedding.INDEX_SUFFIX)).iterdir())
 
     def test_failed_index_write_exits_0(self, predict_argv, synth_embeddings, tmp_path,
                                         monkeypatch, capsys):

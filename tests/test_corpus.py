@@ -100,6 +100,18 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=":2: class index True"):
             list(load_dataset(path, strict=True))
 
+    @pytest.mark.parametrize("name,raw", [
+        ("d.csv", b'1,"a b"\r2,"c d"\r1,"caf\xe9"\r'),
+        ("d.jsonl", b'{"label": 1, "text": "a"}\r{"label": 2, "text": "b"}\r'
+                    b'{"label": 1, "text": "caf\xe9"}\r'),
+    ], ids=["csv", "jsonl"])
+    def test_a_line_that_is_not_utf8_is_counted_as_the_reader_counts(self, tmp_path, name, raw):
+        # The readers end a line at a bare CR too.
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(DatasetFormatError, match=":3: not UTF-8"):
+            list(load_dataset(path))
+
     @pytest.mark.skipif(helpers.dataset_file("ag", "train") is None,
                         reason="AG News data not present (set SLCNN_DATA_DIR)")
     def test_ag_news_train_counts(self):

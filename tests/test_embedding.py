@@ -371,6 +371,13 @@ class TestVocabularyFilter:
         with pytest.raises(EmbeddingFormatError, match=":2: not UTF-8"):
             load_embeddings(path, 2, {"a"})
 
+    def test_a_line_that_is_not_utf8_is_counted_as_the_scan_counts(self, tmp_path):
+        # The scan ends a line at a bare CR too.
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 2\rb 3 4\rcaf\xe9 1 2\r")
+        with pytest.raises(EmbeddingFormatError, match=":3: not UTF-8"):
+            load_embeddings(path, 2, {"a"})
+
 
 # --------------------------------------------------------------------------
 # The line index beside the file
@@ -388,14 +395,9 @@ def _loaded(path: Path, dim: int, tokens: set[str] | None):
     return _outcome(load, path)
 
 
-def _members(path: Path) -> dict[str, np.ndarray]:
-    with np.load(path, allow_pickle=False) as index:
-        return {name: index[name] for name in index.files}
-
-
 def _rewrite_index(path: Path, **members) -> None:
     """Rewrite the index of *path* with *members* replaced."""
-    np.savez(_index(path), **{**_members(_index(path)), **members})
+    fileio.write_npz(_index(path), {**fileio.read_npz(_index(path)), **members})
 
 
 class TestLineIndex:
@@ -421,7 +423,7 @@ class TestLineIndex:
 
     def test_the_index_records_each_line(self, settled):
         load_embeddings(settled, 2, set())
-        index = _members(_index(settled))
+        index = fileio.read_npz(_index(settled))
         assert sorted(index) == ["dim", "key", "offsets", "tokens"]
         assert bytes(index["tokens"]).decode("utf-8") == "a\nb\na\nc\nd\n"
         raw = settled.read_bytes()
@@ -538,7 +540,7 @@ class TestLineIndex:
         self._rewrite_in_place(settled, b"c -0.5", b"e -0.5")
         _rewrite_index(settled, key=np.array(embedding._file_key(settled.stat())))
         assert _loaded(settled, 2, tokens)[:2] == ("ok", {"a": 0})
-        names = bytes(_members(_index(settled))["tokens"]).decode("utf-8")
+        names = bytes(fileio.read_npz(_index(settled))["tokens"]).decode("utf-8")
         assert names == "a\nb\na\ne\nd\n"  # rewritten by the scan
 
     def test_a_file_replaced_during_a_read_is_never_mixed_with_it(self, settled, monkeypatch):
@@ -567,7 +569,7 @@ class TestLineIndex:
     def test_an_unusable_index_is_ignored_and_rewritten(self, settled, damage):
         tokens = {"a", "c"}
         scanned = _loaded(settled, 2, tokens)
-        good = _members(_index(settled))
+        good = fileio.read_npz(_index(settled))
         raw = _index(settled).read_bytes()
         if damage == "truncated":
             _index(settled).write_bytes(raw[: len(raw) // 2])
@@ -585,7 +587,7 @@ class TestLineIndex:
         else:
             _rewrite_index(settled, offsets=good["offsets"][::-1].copy())
         assert _loaded(settled, 2, tokens) == scanned
-        rewritten = _members(_index(settled))
+        rewritten = fileio.read_npz(_index(settled))
         assert rewritten.keys() == good.keys()
         for name, array in good.items():
             assert np.array_equal(rewritten[name], array)

@@ -3,17 +3,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-import struct
+import tempfile
 import tracemalloc
 import weakref
-import zlib
+import zipfile
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from slcnn import nn
+from slcnn import fileio, nn
 from slcnn.model import (
     CheckpointError,
     ConfigError,
@@ -493,13 +496,11 @@ class TestCheckpoint:
     def test_config_blob_with_empty_layer_rejected(self, tmp_path, field):
         path = tmp_path / "m.slcnn"
         save_checkpoint(build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3)), path)
-        raw = path.read_bytes()
-        (blob_len,) = struct.unpack("<I", raw[6:10])
-        config = json.loads(raw[10 : 10 + blob_len])
+        members = fileio.read_npz(path)
+        config = json.loads(members["config"].tobytes())
         config[field] = 0
-        blob = json.dumps(config).encode()
-        body = raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + blob_len : -4]
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        members["config"] = np.frombuffer(json.dumps(config).encode(), np.uint8)
+        fileio.write_npz(path, members)
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
@@ -517,7 +518,7 @@ class TestCheckpoint:
     def test_defect_behind_valid_checksum_rejected(self, tmp_path, defect):
         path = tmp_path / "m.slcnn"
         save_checkpoint(_tiny_model("slcnn", 4), path)
-        path.write_bytes(helpers.defective_checkpoint(path.read_bytes(), defect))
+        helpers.defective_checkpoint(path, defect)
         message = helpers.CHECKPOINT_DEFECTS[defect][1]
         with pytest.raises(CheckpointError, match=re.escape(message)) as caught:
             load_checkpoint(path)
@@ -531,8 +532,54 @@ class TestCheckpoint:
         raw[len(raw) // 2] ^= 0xFF
         bad = tmp_path / "c.slcnn"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="checksum"):
+        with pytest.raises(CheckpointError, match="Bad CRC-32"):
             load_checkpoint(bad)
+
+    def test_same_model_gives_the_same_bytes(self, tmp_path):
+        # The zip entries carry a fixed timestamp, not the time of writing.
+        net = _tiny_model("slcnn+v", 4)
+        save_checkpoint(net, tmp_path / "a.slcnn")
+        save_checkpoint(net, tmp_path / "b.slcnn")
+        assert (tmp_path / "a.slcnn").read_bytes() == (tmp_path / "b.slcnn").read_bytes()
+        with zipfile.ZipFile(tmp_path / "a.slcnn") as archive:
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_damaged_file_raises_or_gives_the_saved_model(self, tiny_checkpoint, data):
+        # A zip's header fields (a timestamp, a local header's CRC copy) lie
+        # outside every CRC, so a flip there may load: but only as the saved
+        # model, bit for bit.
+        saved, raw = tiny_checkpoint
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            flip = data.draw(st.integers(1, 255), label="flip")
+            damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "bad.slcnn"
+            bad.write_bytes(damaged)
+            try:
+                loaded = load_checkpoint(bad)
+            except CheckpointError as exc:
+                assert str(bad) in str(exc)
+                return
+        assert loaded.config == saved.config
+        for (name, got), (_, want) in zip(loaded.param_blocks(), saved.param_blocks(),
+                                          strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.fixture(scope="class")
+    def tiny_checkpoint(self, tmp_path_factory) -> tuple[Model, bytes]:
+        """A small model with generic parameters, and its checkpoint's bytes."""
+        net = _tiny_model("slcnn+v", 4)
+        rng = np.random.default_rng(3)
+        for _, arr in net.param_blocks():
+            arr[...] = rng.normal(size=arr.shape)
+        path = tmp_path_factory.mktemp("ckpt") / "m.slcnn"
+        save_checkpoint(net, path)
+        return net, path.read_bytes()
 
 
 # --------------------------------------------------------------------------
