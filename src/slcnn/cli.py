@@ -158,7 +158,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from . import corpus
 
     path = _resolve_input(args.input)
-    stats = corpus.corpus_stats(_load_docs(args, path), args.ts)
+    stats = corpus.corpus_stats(_load_docs(args, path))
     payload = {"schema_version": 1, **stats.__dict__}
     _emit(payload, args, args.out, (path,))
     return 0
@@ -192,7 +192,7 @@ def _tokenized(docs) -> list[tuple[int, list[list[str]]]]:
     return [(doc.label, corpus.preprocess_document(doc)) for doc in docs]
 
 
-def _embedded(emb_path: Path, dim: int, doc_len: int, sent_len: int, *doc_sets):
+def _embedded(emb_path: Path, dim: int, doc_len: int, *doc_sets):
     """One EmbeddedDataset per set of (label, sentences) documents, or None
     for an empty set.  All sets share one grid vocabulary and one embedding
     matrix.  The embedding file is read once, after the grid is built, and
@@ -201,7 +201,7 @@ def _embedded(emb_path: Path, dim: int, doc_len: int, sent_len: int, *doc_sets):
     from . import corpus, embedding, model as m
 
     grid = corpus.build_grid_dataset_from_token_docs(
-        (doc for docs in doc_sets for doc in docs), doc_len, sent_len
+        (doc for docs in doc_sets for doc in docs), doc_len, corpus.SENT_LEN
     )
     log.info("loading embeddings from %s", emb_path)
     table = embedding.load_embeddings(emb_path, dim, set(grid.vocab))
@@ -229,7 +229,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"--out-dir {args.out_dir}: {existing} is not a directory")
     if args.test_limit is not None and not args.test:
         raise ValueError("--test-limit needs --test")
-    m.hcb_width_schedule(args.ts)  # raises when --ts cannot collapse to width 1
     train_path = _resolve_input(args.input)
     emb_path = _resolve_input(args.embeddings)
     test_path = _resolve_input(args.test) if args.test else None
@@ -256,7 +255,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         doc_len=doc_len,
         num_classes=num_classes,
         fc_size=m.FC_SIZES[args.fc],
-        sent_len=args.ts,
         embed_dim=dim,
         seed=args.seed,
         lr=args.lr,
@@ -276,7 +274,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         held_out = [token_docs[i] for i in perm[:n_val]]
         token_docs = [token_docs[i] for i in perm[n_val:]]
     train_data, val_data, test_data = _embedded(
-        emb_path, dim, doc_len, args.ts, token_docs, held_out, _tokenized(test_docs)
+        emb_path, dim, doc_len, token_docs, held_out, _tokenized(test_docs)
     )
 
     net = m.build_model(config)
@@ -340,8 +338,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = net.config
     docs = _load_docs(args, data_path, args.limit, config.seed)
     _check_labels(docs, config.num_classes, data_path)
-    (data,) = _embedded(emb_path, config.embed_dim, config.doc_len, config.sent_len,
-                        _tokenized(docs))
+    (data,) = _embedded(emb_path, config.embed_dim, config.doc_len, _tokenized(docs))
     preds = m.predict_labels(net, data)
     confusion = m.confusion_matrix(data.labels, preds, config.num_classes)
     payload = {
@@ -363,7 +360,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     net = m.load_checkpoint(ckpt_path)
     config = net.config
     text = args.text if args.text is not None else sys.stdin.read()
-    (data,) = _embedded(emb_path, config.embed_dim, config.doc_len, config.sent_len,
+    (data,) = _embedded(emb_path, config.embed_dim, config.doc_len,
                         _tokenized([corpus.RawDocument(label=0, fields=[text])]))
     probs = nn.softmax(net.forward(data.grids, data.matrix))[0]
     payload = {
@@ -422,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="corpus statistics incl. the derived document threshold")
     p.add_argument("--input", required=True, help="dataset CSV/JSONL")
-    p.add_argument("--ts", type=_int_at_least, default=46, help="words-per-sentence threshold")
     p.add_argument("--out", type=_out_file, help="also write the JSON to this file")
     common_io(p)
     p.set_defaults(handler=cmd_stats)
@@ -439,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fc", choices=["small", "large"], default="small")
     p.add_argument("--td", type=_int_at_least,
                    help="sentences-per-document threshold (default: derived)")
-    p.add_argument("--ts", type=_int_at_least, default=46)
     p.add_argument("--classes", type=lambda value: _int_at_least(value, 2),
                    help="number of classes (default: inferred)")
     p.add_argument("--epochs", type=_int_at_least, default=50)

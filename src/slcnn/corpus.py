@@ -24,6 +24,8 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+SENT_LEN = 46  # t_s, words kept per sentence: the paper's constant
+
 class DatasetFormatError(ValueError):
     """Raised for unreadable dataset files or, in strict mode, bad rows."""
 
@@ -268,11 +270,11 @@ def compute_doc_threshold(sentence_counts: Sequence[int]) -> int:
     return max(1, math.ceil(value))
 
 
-def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
+def corpus_stats(dataset: Iterable[RawDocument]) -> CorpusStats:
     """Single-pass corpus statistics over at least one document.
 
     Crop percentages use strict inequalities: a sentence is cropped when it
-    has more than *sent_len* words and a document when it has more than the
+    has more than SENT_LEN words and a document when it has more than the
     derived threshold sentences.
     """
     cropped_sentences = 0
@@ -288,7 +290,7 @@ def corpus_stats(dataset: Iterable[RawDocument], sent_len: int) -> CorpusStats:
         for tokens in token_lists:
             n_words = len(tokens)
             max_words = max(max_words, n_words)
-            if n_words > sent_len:
+            if n_words > SENT_LEN:
                 cropped_sentences += 1
                 doc_has_cropped = True
             vocab.update(tokens)

@@ -172,7 +172,7 @@ def _scan(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
     each line's token and byte offset and leaves the index."""
     names = None
     if tokens is not None and stat.st_mtime_ns <= time.time_ns() - SETTLED_NS:
-        names, offsets = io.StringIO(), array.array("q")
+        names, offsets = bytearray(), array.array("q")
     # Byte offsets, counting each line end as the one byte "\n" that text
     # mode reads it as; _write_index corrects them for CRLF files.
     offset = len(codecs.BOM_UTF8) if handle.peek(3)[:3] == codecs.BOM_UTF8 else 0
@@ -185,7 +185,7 @@ def _scan(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
                                                f"values, got {line.count(' ') + 1} fields")
                 token, _, values = line.partition(" ")
                 if names is not None:
-                    names.write(token + "\n")
+                    names += token.encode("utf-8") + b"\n"
                     offsets.append(offset)
                     offset += len(line) if line.isascii() else len(line.encode("utf-8"))
                 if token not in vocab and (tokens is None or token in tokens):
@@ -196,7 +196,7 @@ def _scan(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
         if not line_no:
             raise EmbeddingFormatError(f"{path}: the file holds no lines")
         if names is not None:
-            _write_index(path, handle, stat, dim, names.getvalue(), offsets, text.newlines)
+            _write_index(path, handle, stat, dim, names, offsets, text.newlines)
 
 
 def _index_path(path: Path) -> Path:
@@ -210,23 +210,24 @@ def _file_key(stat: os.stat_result) -> str:
 
 
 def _write_index(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
-                 names: str, offsets: array.array, newlines: str | tuple | None) -> None:
+                 names: bytearray, offsets: array.array, newlines: str | tuple | None) -> None:
     """Write the line index of the file open as *handle*, whose *stat* was
     taken before the scan: an npz (see fileio) of the file's key, *dim*, and
-    the token (*names* holds each one followed by a newline) and byte offset
-    of every line, in file order.  Nothing is written when the file changed
+    the token (*names* holds each one in UTF-8, followed by a newline) and
+    byte offset of every line, in file order; both are written from views of
+    the scan's buffers, not copies.  Nothing is written when the file changed
     during the scan, or has a line that ends in a bare CR, or mixes LF and
     CRLF ends; a failed write is skipped."""
     if (newlines not in (None, "\n", "\r\n")
             or _file_key(os.fstat(handle.fileno())) != _file_key(stat)):
         return
-    starts = np.array(offsets, dtype=np.int64)
+    starts = np.frombuffer(offsets, dtype=np.int64)
     if newlines == "\r\n":  # every line before line n ends in two bytes
-        starts += np.arange(len(starts))
+        starts = starts + np.arange(len(starts))
     index = _index_path(path)
     try:
         fileio.write_npz(index, {"key": np.array(_file_key(stat)), "dim": np.int64(dim),
-                                 "tokens": np.frombuffer(names.encode("utf-8"), np.uint8),
+                                 "tokens": np.frombuffer(names, np.uint8),
                                  "offsets": starts})
     except OSError:  # a read-only directory or a full disk: later runs scan
         return

@@ -3,11 +3,11 @@
 Every block of the trunk is one primitive: two conv+ReLU layers, then a
 size-2 max-pool.  Two variants share four horizontal convolutional blocks
 (HCBs), which run 1x2 filters and pool along the words, collapsing the
-46-wide word axis to 1 (46 -> 22 -> 10 -> 4 -> 1) while never mixing
-sentence rows.  The "+v" variant adds a vertical convolutional block (VCB)
-of 2x1 filters that pools along the sentences, mixing adjacent ones before
-the dense head.  After the first conv layer every bank convolves across
-all 128 channels.
+word axis, fixed at the paper's t_s = 46 (SENT_LEN), to 1 (46 -> 22 -> 10
+-> 4 -> 1) while never mixing sentence rows.  The "+v" variant adds a
+vertical convolutional block (VCB) of 2x1 filters that pools along the
+sentences, mixing adjacent ones before the dense head.  After the first
+conv layer every bank convolves across all 128 channels.
 
 The model reads a batch as its int32 grid ids (documents, sentences, words)
 and the frozen embedding matrix they index.  Pad is id 0 and nothing else.
@@ -48,13 +48,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import GridDataset
+from .corpus import SENT_LEN, GridDataset
 from .embedding import EmbeddingTable, embedding_matrix_for_vocab
 from . import fileio, nn
 
 SLCNN = "slcnn"
 SLCNN_V = "slcnn+v"
 VARIANTS = (SLCNN, SLCNN_V)
+
+# Word-axis width after each HCB: each maps w -> (w - 2) // 2, from SENT_LEN.
+HCB_WIDTHS = (22, 10, 4, 1)
 
 FC_SIZES = {"small": 512, "large": 1024}
 
@@ -93,26 +96,6 @@ class TrainingDivergedError(Exception):
         self.batch = batch
 
 
-def hcb_width_schedule(sent_len: int) -> list[int]:
-    """Widths after each horizontal block, ending at exactly 1.
-
-    There is at least one block.  Each maps width w -> floor((w - 2) / 2)
-    and needs w >= 4; raises ConfigError when the recurrence cannot reach 1
-    that way (as for w ending at 2, or a sentence length below 4).
-    """
-    widths = []
-    w = sent_len
-    while w > 1 or not widths:
-        if w < 4:
-            raise ConfigError(
-                f"sentence length {sent_len} cannot collapse to width 1 "
-                f"(width {w} before a block; each block needs width >= 4)"
-            )
-        w = (w - 2) // 2
-        widths.append(w)
-    return widths
-
-
 # Lower bounds of ModelConfig's integer fields; every other one is at least 1.
 _INT_MINIMUM = {"num_classes": 2, "seed": 0}
 
@@ -124,7 +107,6 @@ class ModelConfig:
     num_classes: int
     fc_size: int = 512
     num_filters: int = 128
-    sent_len: int = 46
     embed_dim: int = 100
     seed: int = 0
     lr: float = 0.001
@@ -152,12 +134,6 @@ class ModelConfig:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0; got {self.lr}")
-        # Raises when the word axis cannot collapse to 1 (46 always works).
-        self.hcb_widths = hcb_width_schedule(self.sent_len)
-
-    @property
-    def num_hcb(self) -> int:
-        return len(self.hcb_widths)
 
     @property
     def flatten_size(self) -> int:
@@ -274,7 +250,7 @@ class Model:
             for level, banks in enumerate(hcbs):
                 lives.append(y.shape[2])
                 if level:
-                    y = _widen(y, pads[level - 1], self.config.hcb_widths[level - 1])
+                    y = _widen(y, pads[level - 1], HCB_WIDTHS[level - 1])
                 y, cache = _block_forward(y, banks, nn.HORIZONTAL)
                 if train:  # eval holds one level's caches at a time
                     caches.append(cache)
@@ -459,7 +435,7 @@ def build_model(config: ModelConfig) -> Model:
     rng = np.random.default_rng([config.seed, STREAM_INIT])
     k = config.num_filters
     conv_banks = []
-    for i in range(2 * config.num_hcb):
+    for i in range(2 * len(HCB_WIDTHS)):
         c_in = config.embed_dim if i == 0 else k
         conv_banks.append(_init_conv(rng, k, 1, 2, c_in))
     vcb_banks = []
@@ -485,7 +461,7 @@ class EmbeddedDataset:
     """Grid ids plus the embedding rows they index, the form the model reads;
     row 0, the pad id's, is zeros."""
 
-    grids: np.ndarray  # (N, doc_len, sent_len) int32
+    grids: np.ndarray  # (N, doc_len, SENT_LEN) int32
     labels: np.ndarray  # (N,) int64
     matrix: np.ndarray  # (vocab + 1, embed_dim) float32
 
@@ -612,10 +588,11 @@ def confusion_matrix(labels: np.ndarray, preds: np.ndarray, num_classes: int) ->
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
     """An uncompressed npz, through fileio: member ``config`` holds the
-    config's canonical JSON (sorted keys, compact separators) as uint8, then
-    one little-endian float32 member per parameter block follows, named and
-    ordered as param_blocks()."""
-    config = json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":"))
+    config's canonical JSON (sorted keys, compact separators) as uint8, with
+    ``"sent_len":46`` among its fields, then one little-endian float32 member
+    per parameter block follows, named and ordered as param_blocks()."""
+    config = json.dumps({**asdict(model.config), "sent_len": SENT_LEN}, sort_keys=True,
+                        separators=(",", ":"))
     members = {"config": np.frombuffer(config.encode(), dtype=np.uint8)}
     members.update((name, arr.astype("<f4", copy=False)) for name, arr in model.param_blocks())
     fileio.write_npz(path, members)
@@ -624,13 +601,19 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; forward outputs are bit-identical
     to the saved model's.  Anything but the members save_checkpoint writes,
-    and a non-finite value, raises CheckpointError naming *path*."""
+    a config whose sent_len is not the integer 46, and a non-finite value
+    raise CheckpointError naming *path*."""
     try:
         members = fileio.read_npz(path)
-        config = ModelConfig(**json.loads(members["config"].tobytes().decode()))
+        saved = json.loads(members["config"].tobytes().decode())
+        sent_len = saved.pop("sent_len", None)
+        if (type(sent_len), sent_len) != (int, SENT_LEN):
+            raise ValueError(f"sent_len must be {SENT_LEN}, got {sent_len!r}")
+        config = ModelConfig(**saved)
     except fileio.NpzError as exc:
         raise CheckpointError(f"not an npz checkpoint ({exc}): {path}") from None
-    except (KeyError, ValueError, TypeError) as exc:  # no config, not UTF-8 or JSON, a ConfigError
+    # No config, not UTF-8 or a JSON object, another sent_len, a ConfigError.
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"bad config blob in checkpoint: {exc}: {path}") from exc
 
     model = build_model(config)

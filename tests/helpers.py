@@ -219,15 +219,20 @@ def _renamed(old: str, new: str):
     return edit
 
 
-def _retyped_config(name: str, convert):
-    """An edit that stores config field *name* as convert(its value): the
-    same number, of another JSON type."""
+def _config_edit(change):
+    """An edit that stores the config as change(its fields) leaves them."""
     def edit(members: dict) -> None:
         config = json.loads(members["config"].tobytes())
-        config[name] = convert(config[name])
+        change(config)
         blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
         members["config"] = np.frombuffer(blob, np.uint8)
     return edit
+
+
+def _retyped_config(name: str, convert):
+    """An edit that stores config field *name* as convert(its value): the
+    same number, of another JSON type."""
+    return _config_edit(lambda config: config.update({name: convert(config[name])}))
 
 
 def _mapped(name: str, convert):
@@ -288,12 +293,22 @@ CHECKPOINT_DEFECTS = {
     "config_not_json": (_members_edit(lambda members: members.update(
                             config=np.frombuffer(b"{", np.uint8))),
                         "bad config blob in checkpoint: Expecting property name"),
+    "config_not_object": (_members_edit(lambda members: members.update(
+                              config=np.frombuffer(b"46", np.uint8))),
+                          "bad config blob in checkpoint: 'int' object has no attribute"),
     "float_doc_len": (_members_edit(_retyped_config("doc_len", float)),
                       "bad config blob in checkpoint: doc_len must be an integer"),
     "float_num_filters": (_members_edit(_retyped_config("num_filters", float)),
                           "bad config blob in checkpoint: num_filters must be an integer"),
     "bool_seed": (_members_edit(_retyped_config("seed", bool)),
                   "bad config blob in checkpoint: seed must be an integer"),
+    # t_s is 46 (a constant, no config field), and every checkpoint records it.
+    "sent_len_30": (_members_edit(_config_edit(lambda config: config.update(sent_len=30))),
+                    "bad config blob in checkpoint: sent_len must be 46, got 30"),
+    "sent_len_float": (_members_edit(_retyped_config("sent_len", float)),
+                       "bad config blob in checkpoint: sent_len must be 46, got 46.0"),
+    "no_sent_len": (_members_edit(_config_edit(lambda config: config.pop("sent_len"))),
+                    "bad config blob in checkpoint: sent_len must be 46, got None"),
 }
 
 
@@ -680,7 +695,7 @@ def network_margins(net: Model, x: np.ndarray) -> float:
     smallest = np.inf
     y = x
     banks = list(net.conv_banks) + list(net.vcb_banks)
-    pool_after = {2 * i + 1 for i in range(net.config.num_hcb)}
+    pool_after = {2 * i + 1 for i in range(len(net.conv_banks) // 2)}
     if net.vcb_banks:
         pool_after.add(len(banks) - 1)
     for i, bank in enumerate(banks):

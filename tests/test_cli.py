@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -40,7 +41,7 @@ def run_cli_subprocess(args: list[str]) -> subprocess.CompletedProcess:
 
 class TestStats:
     def test_json_output_with_threshold(self, synth_train_csv, capsys):
-        code, out, err = run_cli(["stats", "--input", str(synth_train_csv), "--ts", "46"], capsys)
+        code, out, err = run_cli(["stats", "--input", str(synth_train_csv)], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["schema_version"] == 1
@@ -75,16 +76,6 @@ class TestStats:
         code, out, err = run_cli(["stats", "--input", synth_train_csv.name], capsys)
         assert code == 2
         assert "input file not found" in err and out == ""
-
-    # '\u00b2' (superscript two) passes str.isdigit() but not int().
-    @pytest.mark.parametrize("value", ["0", "-5", "\u00b2"])
-    def test_ts_below_one_exits_2(self, synth_train_csv, tmp_path, capsys, value):
-        out_file = tmp_path / "stats.json"
-        code, out, err = run_cli(["stats", "--input", str(synth_train_csv), f"--ts={value}",
-                                  "--out", str(out_file)], capsys)
-        assert code == 2
-        assert "--ts" in err and "must be an integer >= 1" in err and not out
-        assert not out_file.exists()
 
     def test_out_file_and_manifest(self, synth_train_csv, tmp_path, capsys):
         out_file = tmp_path / "stats.json"
@@ -214,32 +205,6 @@ class TestTrain:
         assert flag in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_ts_below_one_exits_2(self, synth_train_csv, synth_embeddings, tmp_path, capsys,
-                                  value):
-        out_dir = tmp_path / "never"
-        code, _, err = run_cli([
-            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
-            "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8",
-            f"--ts={value}",
-        ], capsys)
-        assert code == 2
-        assert "--ts" in err
-        assert not out_dir.exists()
-
-    def test_ts_without_a_block_exits_2(self, synth_train_csv, synth_embeddings, tmp_path,
-                                        capsys):
-        # --ts 1 would leave no HCB to collapse the word axis.
-        out_dir = tmp_path / "never"
-        code, out, err = run_cli([
-            "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
-            "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8",
-            "--ts", "1",
-        ], capsys)
-        assert code == 2
-        assert "sentence length 1" in err and "Traceback" not in err and not out
-        assert not out_dir.exists()
-
     def test_val_file_scores_every_epoch(self, synth_train_csv, synth_test_csv,
                                          synth_embeddings, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -300,11 +265,9 @@ class TestTrain:
         assert flag in err and "not found" not in err
         assert not (tmp_path / "never").exists()
 
-    # Word-axis widths that cannot collapse to 1, one class, and a test
-    # limit with no test set (which would otherwise be ignored).
+    # One class, and a test limit with no test set (which would otherwise be
+    # ignored).
     @pytest.mark.parametrize("flag,value,named", [
-        ("--ts", "6", "sentence length 6"),
-        ("--ts", "3", "sentence length 3"),
         ("--classes", "1", "--classes"),
         ("--test-limit", "4", "--test-limit needs --test"),
     ])
@@ -610,9 +573,9 @@ class TestRerun:
         assert not (tmp_path / "replay").exists()
 
     @pytest.mark.parametrize("tail", [
-        ["--ts", "abc"], ["--ts", 46], ["--schema", 5], ["--input", 7],
+        ["--threads", "abc"], ["--threads", 1], ["--schema", 5], ["--input", 7],
         ["--strict", "yes"], ["--pretty", 1],
-    ], ids=["ts_abc", "ts_int", "schema_int", "input_int", "strict_yes", "pretty_int"])
+    ], ids=["threads_abc", "threads_int", "schema_int", "input_int", "strict_yes", "pretty_int"])
     def test_mistyped_recorded_value_exits_2(self, stats_manifest, capsys, tail):
         recorded = json.loads(stats_manifest.read_text())
         recorded["argv"] += tail
@@ -705,7 +668,7 @@ class TestEval:
         docs = cli._load_docs(argparse.Namespace(schema=None, strict=False), synth_train_csv,
                               48, net.config.seed)
         data = m.EmbeddedDataset.build(
-            corpus.build_grid_dataset(docs, net.config.doc_len, net.config.sent_len), table
+            corpus.build_grid_dataset(docs, net.config.doc_len, corpus.SENT_LEN), table
         )
         want = np.zeros((4, 4), dtype=np.int64)
         for label, pred in zip(data.labels, m.predict_labels(net, data)):
@@ -856,7 +819,7 @@ class TestPredict:
             ], capsys)
             assert code == 0
             grid = corpus.build_grid_dataset([corpus.RawDocument(0, [text])],
-                                             net.config.doc_len, net.config.sent_len)
+                                             net.config.doc_len, corpus.SENT_LEN)
             data = m.EmbeddedDataset.build(grid, table)
             logits = net.forward(data.grids, data.matrix)
             assert json.loads(out)["probabilities"] == nn.softmax(logits)[0].tolist()
@@ -1191,14 +1154,18 @@ class TestThreadFlag:
         for var in self.VARS:
             assert os.environ[var] == want
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_count_below_one_rejected(self, synth_train_csv, monkeypatch, capsys, value):
+    # '\u00b2' (superscript two) passes str.isdigit() but not int().
+    @pytest.mark.parametrize("value", ["0", "-1", "\u00b2"])
+    def test_count_below_one_rejected(self, synth_train_csv, monkeypatch, tmp_path, capsys,
+                                      value):
         for var in self.VARS:
             monkeypatch.setenv(var, "8")
+        out_file = tmp_path / "stats.json"
         code, out, err = run_cli(["stats", "--input", str(synth_train_csv),
-                                  f"--threads={value}"], capsys)
+                                  f"--threads={value}", "--out", str(out_file)], capsys)
         assert code == 2
-        assert "--threads" in err and not out
+        assert "--threads" in err and "must be an integer >= 1" in err and not out
+        assert not out_file.exists()
 
     def test_rerun_uses_recorded_count(self, monkeypatch, tmp_path, capsys):
         for var in self.VARS:
@@ -1261,6 +1228,8 @@ class TestExitCodeContract:
         assert "error" in proc.stderr.lower()
 
     @pytest.mark.parametrize("command,flag", [
+        ("stats", "--ts=46"),
+        ("train", "--ts=46"),
         ("train", "--oov-seed=0"),
         ("train", "--dim=100"),
         ("eval", "--oov-seed=0"),
@@ -1272,15 +1241,18 @@ class TestExitCodeContract:
     def test_removed_flag_is_usage_error(self, trained, synth_train_csv, synth_embeddings,
                                          tmp_path, capsys, command, flag):
         # Each flag could only repeat or contradict a setting fixed elsewhere.
+        embeddings = ["--embeddings", str(synth_embeddings)]
         rest = {
-            "train": ["--input", str(synth_train_csv), "--out-dir", str(tmp_path / "never"),
+            "stats": ["--input", str(synth_train_csv)],
+            "train": [*embeddings, "--input", str(synth_train_csv),
+                      "--out-dir", str(tmp_path / "never"),
                       "--limit", "8", "--epochs", "1", "--batch-size", "8"],
-            "eval": ["--checkpoint", str(trained / "model.slcnn"),
+            "eval": [*embeddings, "--checkpoint", str(trained / "model.slcnn"),
                      "--input", str(synth_train_csv), "--limit", "8"],
-            "predict": ["--checkpoint", str(trained / "model.slcnn"), "--text", "Stocks rose."],
+            "predict": [*embeddings, "--checkpoint", str(trained / "model.slcnn"),
+                        "--text", "Stocks rose."],
         }[command]
-        code, out, err = run_cli([command, "--embeddings", str(synth_embeddings), *rest, flag],
-                                 capsys)
+        code, out, err = run_cli([command, *rest, flag], capsys)
         assert code == 2
         assert flag.split("=")[0] in err and not out
         assert not (tmp_path / "never").exists()
@@ -1289,6 +1261,25 @@ class TestExitCodeContract:
         proc = run_cli_subprocess(["--version"])
         assert proc.returncode == 0
         assert "slcnn" in proc.stdout
+
+
+class TestOptionSurface:
+    """The settings a user can reach.  A new option or config field changes
+    these numbers, so it lands as a test change that has to be argued for."""
+
+    def test_option_count_per_subcommand(self):
+        (subparsers,) = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        counts = {name: sum(not isinstance(action, argparse._HelpAction)
+                            for action in parser._actions)
+                  for name, parser in subparsers.choices.items()}
+        assert counts == {"stats": 6, "train": 21, "eval": 9, "predict": 6, "rerun": 2}
+
+    def test_model_config_fields(self):
+        assert [field.name for field in dataclasses.fields(m.ModelConfig)] == [
+            "variant", "doc_len", "num_classes", "fc_size", "num_filters", "embed_dim",
+            "seed", "lr", "epochs", "batch_size", "dropout_rate",
+        ]
 
 
 class TestEmbeddingIndex:

@@ -322,7 +322,7 @@ class TestCropPad:
 class TestCorpusStats:
     def test_single_trivial_document(self):
         docs = [RawDocument(0, ["One two three."])]
-        stats = corpus_stats(docs, 46)
+        stats = corpus_stats(docs)
         assert stats.num_documents == 1
         assert stats.num_sentences == 1
         assert stats.pct_cropped_sentences == 0
@@ -334,24 +334,25 @@ class TestCorpusStats:
     def test_boundary_strictly_greater(self):
         word_47 = " ".join(f"tok{i}" for i in range(47)) + "."
         word_46 = " ".join(f"tok{i}" for i in range(46)) + "."
-        stats = corpus_stats([RawDocument(0, [word_47]), RawDocument(1, [word_47])], 46)
+        stats = corpus_stats([RawDocument(0, [word_47]), RawDocument(1, [word_47])])
         assert stats.pct_cropped_sentences == 100.0
-        stats_ok = corpus_stats([RawDocument(0, [word_46])], 46)
+        stats_ok = corpus_stats([RawDocument(0, [word_46])])
         assert stats_ok.pct_cropped_sentences == 0.0
 
     def test_against_bruteforce_oracle(self):
         docs = helpers.make_synthetic_docs(25, num_classes=4, seed=3, html_noise=True)
-        # Make a few sentences overlong so the crop stats are non-trivial.
+        # A sentence of 61 words, past t_s = 46, so the crop stats are non-trivial.
         docs.append(RawDocument(0, ["A" + " word" * 60 + "."]))
-        stats = corpus_stats(docs, 10)
-        expected = helpers.corpus_stats_bruteforce(docs, 10)
+        stats = corpus_stats(docs)
+        expected = helpers.corpus_stats_bruteforce(docs, 46)
+        assert expected["pct_cropped_sentences"] > 0
         for key, value in expected.items():
             got = getattr(stats, key)
             assert got == pytest.approx(value), key
 
     def test_percentages_in_range_and_max_vs_mean(self):
         docs = helpers.make_synthetic_docs(10, seed=9)
-        stats = corpus_stats(docs, 5)
+        stats = corpus_stats(docs)
         for pct in (
             stats.pct_cropped_sentences,
             stats.pct_cropped_documents,

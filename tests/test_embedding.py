@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,23 @@ class TestLineIndex:
         assert [raw[o:].split(b" ")[0] for o in index["offsets"]] == [b"a", b"b", b"a", b"c",
                                                                       b"d"]
         assert int(index["dim"]) == 2
+
+    def test_building_an_index_holds_one_copy_of_the_lines(self, tmp_path):
+        # The scan records each line's token and offset in byte buffers that
+        # the write reads as they are: about 40 bytes a line at the peak,
+        # where text buffers and their copies took about 80.
+        lines = 50_000
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"w{i} 0.5 -0.25\n" for i in range(lines)), encoding="utf-8")
+        helpers.back_date(path)
+        tracemalloc.start()
+        try:
+            load_embeddings(path, 2, {"w0", "w7"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _index(path).exists()
+        assert peak <= 64 * lines
 
     @pytest.mark.parametrize("age_s", [0.0, 1.0])
     def test_a_recent_file_gets_no_index(self, tmp_path, age_s):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import helpers
 from slcnn import fileio, nn
+from slcnn.corpus import SENT_LEN
 from slcnn.model import (
     CheckpointError,
     ConfigError,
@@ -27,7 +28,6 @@ from slcnn.model import (
     build_model,
     count_parameters,
     evaluate,
-    hcb_width_schedule,
     load_checkpoint,
     predict_labels,
     save_checkpoint,
@@ -76,16 +76,12 @@ def random_dataset(
 
 class TestShapeCollapse:
     def test_width_schedule_46(self):
-        assert hcb_width_schedule(46) == [22, 10, 4, 1]
-
-    def test_width_schedule_rejects_non_collapsing(self):
-        # 1 would give no block at all; 2 and 3 are too narrow for the first.
-        for sent_len in (1, 2, 3, 6):
-            with pytest.raises(ConfigError):
-                hcb_width_schedule(sent_len)
-
-    def test_width_schedule_alternate(self):
-        assert hcb_width_schedule(10) == [4, 1]
+        # Each HCB maps w -> (w - 2) // 2; the four of them take t_s to 1.
+        widths, w = [], SENT_LEN
+        while w > 1:
+            w = (w - 2) // 2
+            widths.append(w)
+        assert SENT_LEN == 46 and model.HCB_WIDTHS == tuple(widths) == (22, 10, 4, 1)
 
     @pytest.mark.parametrize("doc_len,expected", [(4, 1), (6, 2), (10, 4), (20, 9)])
     def test_vcb_row_recurrence(self, doc_len, expected):
@@ -534,6 +530,13 @@ class TestCheckpoint:
         bad.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="Bad CRC-32"):
             load_checkpoint(bad)
+
+    def test_config_member_records_sent_len_46(self, tmp_path):
+        # ModelConfig has no sent_len, but the file keeps the key, so a
+        # checkpoint keeps its bytes and every earlier one still loads.
+        path = tmp_path / "m.slcnn"
+        save_checkpoint(_tiny_model("slcnn", 4), path)
+        assert b',"sent_len":46,' in fileio.read_npz(path)["config"].tobytes()
 
     def test_same_model_gives_the_same_bytes(self, tmp_path):
         # The zip entries carry a fixed timestamp, not the time of writing.
