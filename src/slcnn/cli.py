@@ -119,7 +119,7 @@ def _emit(payload: dict, args: argparse.Namespace, out: str | None,
           inputs: tuple[Path, ...] = ()) -> None:
     """Print *payload* as JSON.  With *out*, write it there too, and with
     *inputs* as well, a run manifest of them beside it."""
-    text = json.dumps(payload, indent=2 if args.pretty else None, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True)
     if out:
         _write_text(out, text + "\n")
         if inputs:
@@ -413,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--schema", help="comma-separated text field names for CSV validation")
             p.add_argument("--strict", action="store_true",
                            help="abort on malformed dataset rows instead of skipping them")
-        p.add_argument("--pretty", action="store_true", help="indent JSON output")
         p.add_argument("--threads", type=_int_at_least, default=1,
                        help="BLAS thread count (default 1 for strict determinism)")
 

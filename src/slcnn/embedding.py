@@ -173,11 +173,11 @@ def _scan(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
     names = None
     if tokens is not None and stat.st_mtime_ns <= time.time_ns() - SETTLED_NS:
         names, offsets = bytearray(), array.array("q")
-    # Byte offsets, counting each line end as the one byte "\n" that text
-    # mode reads it as; _write_index corrects them for CRLF files.
+    # Each line keeps its own end (LF, CRLF or a bare CR), so the byte
+    # offsets are exact.
     offset = len(codecs.BOM_UTF8) if handle.peek(3)[:3] == codecs.BOM_UTF8 else 0
     line_no = 0
-    with io.TextIOWrapper(handle, encoding="utf-8-sig") as text:
+    with io.TextIOWrapper(handle, encoding="utf-8-sig", newline="") as text:
         try:
             for line_no, line in enumerate(text, start=1):
                 if line.count(" ") != dim:
@@ -196,7 +196,7 @@ def _scan(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
         if not line_no:
             raise EmbeddingFormatError(f"{path}: the file holds no lines")
         if names is not None:
-            _write_index(path, handle, stat, dim, names, offsets, text.newlines)
+            _write_index(path, handle, stat, dim, names, offsets)
 
 
 def _index_path(path: Path) -> Path:
@@ -210,25 +210,20 @@ def _file_key(stat: os.stat_result) -> str:
 
 
 def _write_index(path: Path, handle: io.BufferedReader, stat: os.stat_result, dim: int,
-                 names: bytearray, offsets: array.array, newlines: str | tuple | None) -> None:
+                 names: bytearray, offsets: array.array) -> None:
     """Write the line index of the file open as *handle*, whose *stat* was
     taken before the scan: an npz (see fileio) of the file's key, *dim*, and
     the token (*names* holds each one in UTF-8, followed by a newline) and
     byte offset of every line, in file order; both are written from views of
     the scan's buffers, not copies.  Nothing is written when the file changed
-    during the scan, or has a line that ends in a bare CR, or mixes LF and
-    CRLF ends; a failed write is skipped."""
-    if (newlines not in (None, "\n", "\r\n")
-            or _file_key(os.fstat(handle.fileno())) != _file_key(stat)):
+    during the scan; a failed write is skipped."""
+    if _file_key(os.fstat(handle.fileno())) != _file_key(stat):
         return
-    starts = np.frombuffer(offsets, dtype=np.int64)
-    if newlines == "\r\n":  # every line before line n ends in two bytes
-        starts = starts + np.arange(len(starts))
     index = _index_path(path)
     try:
         fileio.write_npz(index, {"key": np.array(_file_key(stat)), "dim": np.int64(dim),
                                  "tokens": np.frombuffer(names, np.uint8),
-                                 "offsets": starts})
+                                 "offsets": np.frombuffer(offsets, dtype=np.int64)})
     except OSError:  # a read-only directory or a full disk: later runs scan
         return
     log.info("wrote the line index of %s to %s", path, index)
@@ -240,9 +235,9 @@ def _indexed_rows(path: Path, handle: io.BufferedReader, stat: os.stat_result, d
     the offset the index records, up to the next line's.  Raises
     _NoUsableIndex when the index is missing or unreadable, does not match
     *stat* or *dim*, or a kept line does not decode as UTF-8, start with its
-    token and a space, hold exactly *dim* spaces and end, with an LF or
-    CRLF, where the next line starts (the last line may end at the file's
-    end instead)."""
+    token and a space, hold exactly *dim* spaces and end, with an LF, a CRLF
+    or a bare CR, where the next line starts (the last line may end at the
+    file's end instead)."""
     try:
         index = fileio.read_npz(_index_path(path))
         if (str(index["key"]), int(index["dim"])) != (_file_key(stat), dim):
@@ -269,7 +264,7 @@ def _indexed_rows(path: Path, handle: io.BufferedReader, stat: os.stat_result, d
         wanted.remove(name)  # a later duplicate is not read
         start, stop = int(offsets[i]), int(stops[i])
         raw = os.pread(handle.fileno(), stop - start, start)
-        if not raw.endswith(b"\n") and stop != stat.st_size:
+        if not raw.endswith((b"\n", b"\r")) and stop != stat.st_size:
             raise _NoUsableIndex
         try:
             line = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")

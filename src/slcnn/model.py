@@ -29,7 +29,10 @@ exactly the GEMMs of a dense trunk over the batch's own row order.  The VCB
 and the dense head run on the whole batch.
 
 Embeddings are frozen and live outside the model; trainable parameters
-are exactly the conv banks and the three dense layers.
+are exactly the conv banks and the three dense layers.  One table,
+_param_shapes, holds their layout (the name, shape and order of every
+parameter block): a fresh init, a checkpoint and the optimizer all follow
+it, and a loaded checkpoint's arrays become the model's own.
 
 A checkpoint is an npz of the config and the parameter blocks (see
 save_checkpoint); same-seed runs write byte-identical ones.
@@ -164,42 +167,24 @@ class TrainReport:
 class Model:
     """Parameter container plus forward/backward for one variant."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        conv_banks: list[nn.ConvFilterBank],
-        vcb_banks: list[nn.ConvFilterBank],
-        fc1: nn.DenseLayer,
-        fc2: nn.DenseLayer,
-        out: nn.DenseLayer,
-    ) -> None:
+    def __init__(self, config: ModelConfig, blocks: dict[str, np.ndarray]) -> None:
+        """*blocks* maps each _param_shapes(config) name, in its order, to
+        its array; the banks and dense layers are its (weights, biases)
+        pairs, taken by position, and share its arrays."""
         self.config = config
-        self.conv_banks = conv_banks
-        self.vcb_banks = vcb_banks
-        self.fc1 = fc1
-        self.fc2 = fc2
-        self.out = out
+        self._blocks = blocks
+        pairs = list(zip(*[iter(blocks.values())] * 2))  # (weights, biases)
+        convs = [nn.ConvFilterBank(w, b) for w, b in pairs[:-3]]
+        self.conv_banks, self.vcb_banks = convs[: 2 * len(HCB_WIDTHS)], convs[2 * len(HCB_WIDTHS):]
+        self.fc1, self.fc2, self.out = (nn.DenseLayer(w, b) for w, b in pairs[-3:])
         self.best_params: list[np.ndarray] | None = None
 
     # -- parameters --------------------------------------------------------
 
     def param_blocks(self) -> list[tuple[str, np.ndarray]]:
-        """(name, array) pairs in declaration order; checkpoints and the
+        """(name, array) pairs in _param_shapes order; checkpoints and the
         optimizer both follow this order."""
-        blocks: list[tuple[str, np.ndarray]] = []
-        for i, bank in enumerate(self.conv_banks):
-            hcb, layer = divmod(i, 2)
-            prefix = f"hcb{hcb + 1}.conv{layer + 1}"
-            blocks.append((prefix + ".w", bank.weights))
-            blocks.append((prefix + ".b", bank.biases))
-        for i, bank in enumerate(self.vcb_banks):
-            prefix = f"vcb.conv{i + 1}"
-            blocks.append((prefix + ".w", bank.weights))
-            blocks.append((prefix + ".b", bank.biases))
-        for name, layer in (("fc1", self.fc1), ("fc2", self.fc2), ("out", self.out)):
-            blocks.append((name + ".w", layer.weights))
-            blocks.append((name + ".b", layer.biases))
-        return blocks
+        return list(self._blocks.items())
 
     def param_values(self) -> list[np.ndarray]:
         return [arr.copy() for _, arr in self.param_blocks()]
@@ -411,40 +396,42 @@ def _widen(y: np.ndarray, pad: np.ndarray, width: int) -> np.ndarray:
 # Construction
 # --------------------------------------------------------------------------
 
-def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape).astype(np.float32)
-
-
-def _init_conv(rng: np.random.Generator, k: int, s: int, t: int, c_in: int) -> nn.ConvFilterBank:
-    w = _glorot_uniform(rng, (k, s, t, c_in), fan_in=s * t * c_in, fan_out=s * t * k)
-    return nn.ConvFilterBank(weights=w, biases=np.zeros(k, dtype=np.float32))
-
-
-def _init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> nn.DenseLayer:
-    w = _glorot_uniform(rng, (out_dim, in_dim), fan_in=in_dim, fan_out=out_dim)
-    return nn.DenseLayer(weights=w, biases=np.zeros(out_dim, dtype=np.float32))
-
-
-def build_model(config: ModelConfig) -> Model:
-    """Initialize all layers: Glorot-uniform weights, zero biases.
-
-    Draw order is fixed (conv banks first, then the dense head) so the
-    config seed fully determines the initial parameters.
-    """
-    rng = np.random.default_rng([config.seed, STREAM_INIT])
-    k = config.num_filters
-    conv_banks = []
-    for i in range(2 * len(HCB_WIDTHS)):
-        c_in = config.embed_dim if i == 0 else k
-        conv_banks.append(_init_conv(rng, k, 1, 2, c_in))
-    vcb_banks = []
+def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The network's layout, the one place it is written: (name, shape) of
+    every parameter block, in checkpoint, optimizer and init-draw order.
+    Each layer is a weights block ``.w``, then a biases block ``.b`` the size
+    of its first axis: the HCBs' 1x2 conv banks (k, 1, 2, c_in), the VCB's
+    2x1 banks (k, 2, 1, k) for ``slcnn+v``, then the dense layers (out, in)."""
+    k, fc = config.num_filters, config.fc_size
+    layers = [(f"hcb{i // 2 + 1}.conv{i % 2 + 1}", (k, 1, 2, k if i else config.embed_dim))
+              for i in range(2 * len(HCB_WIDTHS))]
     if config.variant == SLCNN_V:
-        vcb_banks = [_init_conv(rng, k, 2, 1, k) for _ in range(2)]
-    fc1 = _init_dense(rng, config.fc_size, config.flatten_size)
-    fc2 = _init_dense(rng, config.fc_size, config.fc_size)
-    out = _init_dense(rng, config.num_classes, config.fc_size)
-    return Model(config, conv_banks, vcb_banks, fc1, fc2, out)
+        layers += [(f"vcb.conv{i}", (k, 2, 1, k)) for i in (1, 2)]
+    layers += [("fc1", (fc, config.flatten_size)), ("fc2", (fc, fc)),
+               ("out", (config.num_classes, fc))]
+    return [(name + suffix, shape) for name, w in layers
+            for suffix, shape in ((".w", w), (".b", w[:1]))]
+
+
+def build_model(config: ModelConfig, values: dict[str, np.ndarray] | None = None) -> Model:
+    """The model of *config* over the arrays of *values*, keyed by
+    _param_shapes name, or with None over a fresh init: Glorot-uniform
+    weights and zero biases, drawn in _param_shapes order, so the config
+    seed fully determines the initial parameters.  A weights shape's fan_in
+    is the product of all its axes but the first, its fan_out of all but the
+    last: s*t*c_in and k*s*t for a conv bank (k, s, t, c_in), in and out for
+    a dense layer (out, in)."""
+    shapes = _param_shapes(config)
+    if values is None:
+        rng = np.random.default_rng([config.seed, STREAM_INIT])
+        values = {}
+        for name, shape in shapes:
+            if name.endswith(".b"):
+                values[name] = np.zeros(shape, dtype=np.float32)
+                continue
+            limit = np.sqrt(6.0 / (math.prod(shape[1:]) + math.prod(shape[:-1])))
+            values[name] = rng.uniform(-limit, limit, shape).astype(np.float32)
+    return Model(config, {name: values[name] for name, _ in shapes})
 
 
 def count_parameters(model: Model) -> int:
@@ -590,7 +577,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
     """An uncompressed npz, through fileio: member ``config`` holds the
     config's canonical JSON (sorted keys, compact separators) as uint8, with
     ``"sent_len":46`` among its fields, then one little-endian float32 member
-    per parameter block follows, named and ordered as param_blocks()."""
+    per parameter block follows, named, shaped and ordered as the layout
+    table _param_shapes says."""
     config = json.dumps({**asdict(model.config), "sent_len": SENT_LEN}, sort_keys=True,
                         separators=(",", ":"))
     members = {"config": np.frombuffer(config.encode(), dtype=np.uint8)}
@@ -600,9 +588,10 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; forward outputs are bit-identical
-    to the saved model's.  Anything but the members save_checkpoint writes,
-    a config whose sent_len is not the integer 46, and a non-finite value
-    raise CheckpointError naming *path*."""
+    to the saved model's.  The members are checked against _param_shapes
+    and become the model's arrays; nothing is drawn or copied.  Anything but
+    the members save_checkpoint writes, a config whose sent_len is not the
+    integer 46, and a non-finite value raise CheckpointError naming *path*."""
     try:
         members = fileio.read_npz(path)
         saved = json.loads(members["config"].tobytes().decode())
@@ -616,17 +605,15 @@ def load_checkpoint(path: str | Path) -> Model:
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"bad config blob in checkpoint: {exc}: {path}") from exc
 
-    model = build_model(config)
-    blocks = model.param_blocks()
-    for stored, expected in itertools.zip_longest(members, ["config"] + [n for n, _ in blocks]):
+    shapes = _param_shapes(config)
+    for stored, expected in itertools.zip_longest(members, ["config"] + [n for n, _ in shapes]):
         if stored != expected:
             raise CheckpointError(f"member {stored!r} where {expected!r} expected: {path}")
-    for name, arr in blocks:
+    for name, shape in shapes:
         value = members[name]
-        if (value.dtype.str, value.shape) != ("<f4", arr.shape):
+        if (value.dtype.str, value.shape) != ("<f4", shape):
             raise CheckpointError(f"block {name}: stored {value.dtype.str} {value.shape} != "
-                                  f"expected <f4 {arr.shape}: {path}")
+                                  f"expected <f4 {shape}: {path}")
         if not np.isfinite(value).all():
             raise CheckpointError(f"block {name}: non-finite values in checkpoint {path}")
-        arr[...] = value
-    return model
+    return build_model(config, members)

@@ -633,15 +633,7 @@ def cross_entropy_oracle(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def with_dtype(net: Model, dtype) -> Model:
     """A copy of *net* with every parameter cast to *dtype* (float64 shadow
     copies for gradient checking)."""
-    cast = lambda a: a.astype(dtype)
-    return Model(
-        net.config,
-        [nn.ConvFilterBank(cast(b.weights), cast(b.biases)) for b in net.conv_banks],
-        [nn.ConvFilterBank(cast(b.weights), cast(b.biases)) for b in net.vcb_banks],
-        nn.DenseLayer(cast(net.fc1.weights), cast(net.fc1.biases)),
-        nn.DenseLayer(cast(net.fc2.weights), cast(net.fc2.biases)),
-        nn.DenseLayer(cast(net.out.weights), cast(net.out.biases)),
-    )
+    return Model(net.config, {name: arr.astype(dtype) for name, arr in net.param_blocks()})
 
 
 class DenseTrunkModel(Model):
@@ -680,7 +672,7 @@ class DenseTrunkModel(Model):
 
 def dense_oracle(net: Model) -> DenseTrunkModel:
     """*net* with the dense HCB trunk; the two share every parameter array."""
-    return DenseTrunkModel(net.config, net.conv_banks, net.vcb_banks, net.fc1, net.fc2, net.out)
+    return DenseTrunkModel(net.config, dict(net.param_blocks()))
 
 
 def features(net: Model, x: np.ndarray) -> np.ndarray:

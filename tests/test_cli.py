@@ -574,8 +574,8 @@ class TestRerun:
 
     @pytest.mark.parametrize("tail", [
         ["--threads", "abc"], ["--threads", 1], ["--schema", 5], ["--input", 7],
-        ["--strict", "yes"], ["--pretty", 1],
-    ], ids=["threads_abc", "threads_int", "schema_int", "input_int", "strict_yes", "pretty_int"])
+        ["--strict", "yes"],
+    ], ids=["threads_abc", "threads_int", "schema_int", "input_int", "strict_yes"])
     def test_mistyped_recorded_value_exits_2(self, stats_manifest, capsys, tail):
         recorded = json.loads(stats_manifest.read_text())
         recorded["argv"] += tail
@@ -1237,10 +1237,15 @@ class TestExitCodeContract:
         ("eval", "--dim=100"),
         ("predict", "--schema=text"),
         ("predict", "--strict"),
+        ("stats", "--pretty"),
+        ("train", "--pretty"),
+        ("eval", "--pretty"),
+        ("predict", "--pretty"),
     ])
     def test_removed_flag_is_usage_error(self, trained, synth_train_csv, synth_embeddings,
                                          tmp_path, capsys, command, flag):
-        # Each flag could only repeat or contradict a setting fixed elsewhere.
+        # Each flag but --pretty could only repeat or contradict a setting
+        # fixed elsewhere; --pretty chose an output format nothing used.
         embeddings = ["--embeddings", str(synth_embeddings)]
         rest = {
             "stats": ["--input", str(synth_train_csv)],
@@ -1273,7 +1278,7 @@ class TestOptionSurface:
         counts = {name: sum(not isinstance(action, argparse._HelpAction)
                             for action in parser._actions)
                   for name, parser in subparsers.choices.items()}
-        assert counts == {"stats": 6, "train": 21, "eval": 9, "predict": 6, "rerun": 2}
+        assert counts == {"stats": 5, "train": 20, "eval": 8, "predict": 5, "rerun": 2}
 
     def test_model_config_fields(self):
         assert [field.name for field in dataclasses.fields(m.ModelConfig)] == [

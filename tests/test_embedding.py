@@ -257,7 +257,7 @@ MALFORMED = {
 
 class TestOnePassParser:
     @settings(max_examples=300, deadline=None)
-    @given(embedding_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @given(embedding_lines(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
     @example((3, []), "\n", True)
     def test_matches_per_line_oracle(self, case, eol, final_eol):
         dim, lines = case
@@ -269,7 +269,7 @@ class TestOnePassParser:
 
     @settings(max_examples=300, deadline=None)
     @given(embedding_lines(), st.sampled_from(sorted(MALFORMED)), st.data(),
-           st.sampled_from(["\n", "\r\n"]), st.booleans())
+           st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
     def test_malformed_line_named_like_oracle(self, case, kind, data, eol, final_eol):
         dim, lines = case
         at = data.draw(st.integers(0, len(lines)))
@@ -335,7 +335,7 @@ class TestVocabularyFilter:
     """load_embeddings(path, dim, tokens) parses only the kept tokens' rows."""
 
     @settings(max_examples=300, deadline=None)
-    @given(filtered_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @given(filtered_lines(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
     @example((2, ["a 1 2", "b 3 4", "a 5 6"], set()), "\n", True)
     @example((2, ["a 1 2", "b 3 4", "a 5 6"], {"a", "zz"}), "\n", True)
     def test_matches_per_line_oracle_and_full_parse(self, case, eol, final_eol):
@@ -482,7 +482,10 @@ class TestLineIndex:
         b"\xef\xbb\xbfa 1 2\r\nb 3 4\r\na 5 6\r\nc 7 8",
         "\u00e9t\u00e9 1 2\nb 3 4\n\u00e9t\u00e9 5 6\nc\u20ac 7 8\n".encode("utf-8"),
         b"a 1 2\nb 3 4\na 5 6\nc 7 8",
-    ], ids=["bom", "crlf", "bom_crlf_no_final_eol", "non_ascii", "no_final_eol"])
+        b"a 1 2\rb 3 4\ra 5 6\rc 7 8\r",
+        b"a 1 2\nb 3 4\r\na 5 6\rc 7 8\n",
+    ], ids=["bom", "crlf", "bom_crlf_no_final_eol", "non_ascii", "no_final_eol", "bare_cr",
+            "mixed"])
     def test_bom_crlf_and_duplicates_give_the_scans_matrix(self, tmp_path, raw, monkeypatch):
         path = tmp_path / "emb.txt"
         path.write_bytes(raw)
@@ -495,15 +498,6 @@ class TestLineIndex:
         assert _index(path).exists()
         monkeypatch.setattr(embedding, "_scan", None)  # any scan now fails
         assert _loaded(path, 2, tokens) == scanned
-
-    @pytest.mark.parametrize("raw", [b"a 1 2\rb 3 4\r", b"a 1 2\nb 3 4\r\n"],
-                             ids=["bare_cr", "mixed"])
-    def test_bare_cr_or_mixed_line_ends_get_no_index(self, tmp_path, raw):
-        path = tmp_path / "emb.txt"
-        path.write_bytes(raw)
-        helpers.back_date(path)
-        assert _loaded(path, 2, {"b"})[:2] == ("ok", {"b": 0})
-        assert not _index(path).exists()
 
     def test_bad_value_on_a_kept_line_is_named_through_the_index(self, tmp_path, monkeypatch):
         path = tmp_path / "emb.txt"
@@ -628,7 +622,8 @@ class TestLineIndex:
         assert sorted(p.name for p in settled.parent.iterdir()) == ["emb.txt"]
 
     @settings(max_examples=200, deadline=None)
-    @given(filtered_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans())
+    @given(filtered_lines(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(),
+           st.booleans())
     @example((2, ["a 1 2", "b 3 4", "a 5 6"], {"a", "zz"}), "\r\n", True, True)
     def test_the_index_gives_the_scans_outcome(self, case, eol, final_eol, bom):
         dim, lines, tokens = case

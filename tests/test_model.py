@@ -176,6 +176,20 @@ class TestBuildModel:
             else:
                 assert np.abs(arr).max() < 1.0
 
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    @pytest.mark.parametrize("fc", sorted(model.FC_SIZES))
+    def test_the_layout_table_is_every_models_parameters(self, tmp_path, variant, fc):
+        # A fresh model and a loaded one: the table's names, order and shapes,
+        # and each bank and dense layer holds its own table entries' arrays.
+        cfg = ModelConfig(variant=variant, doc_len=6, num_classes=5, fc_size=model.FC_SIZES[fc])
+        save_checkpoint(build_model(cfg), tmp_path / "m.slcnn")
+        for net in (build_model(cfg), load_checkpoint(tmp_path / "m.slcnn")):
+            blocks = net.param_blocks()
+            assert [(name, arr.shape) for name, arr in blocks] == model._param_shapes(cfg)
+            layers = [*net.conv_banks, *net.vcb_banks, net.fc1, net.fc2, net.out]
+            assert ([id(arr) for layer in layers for arr in (layer.weights, layer.biases)]
+                    == [id(arr) for _, arr in blocks])
+
 
 class TestParameterCounts:
     def test_known_exact_integers(self):
@@ -546,6 +560,31 @@ class TestCheckpoint:
         assert (tmp_path / "a.slcnn").read_bytes() == (tmp_path / "b.slcnn").read_bytes()
         with zipfile.ZipFile(tmp_path / "a.slcnn") as archive:
             assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        net = _tiny_model("slcnn+v", 4)
+        save_checkpoint(net, tmp_path / "m.slcnn")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(model.np.random, "default_rng", refuse)
+        loaded = load_checkpoint(tmp_path / "m.slcnn")
+        for (name, got), (_, want) in zip(loaded.param_blocks(), net.param_blocks(), strict=True):
+            assert np.array_equal(got, want), name
+
+    def test_load_holds_about_one_copy_of_the_parameters(self, tmp_path):
+        # The stored arrays become the model's: no init is drawn and then
+        # overwritten, and no member is copied (a serve_cold-shape model).
+        path = tmp_path / "m.slcnn"
+        save_checkpoint(build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=4)), path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * path.stat().st_size
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
