@@ -220,7 +220,7 @@ def _embedded(emb_path: Path, dim: int, doc_len: int, *doc_sets):
 def cmd_train(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from . import corpus, model as m
+    from . import corpus, embedding, model as m
 
     # Rejected before any input is read, not after every epoch has run.
     out_dir = Path(args.out_dir)
@@ -245,17 +245,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     doc_len = args.td
     if doc_len is None:
         doc_len = corpus.compute_doc_threshold([len(tokens) for _, tokens in token_docs])
-    with emb_path.open(encoding="latin-1") as handle:  # reads any byte, ends a line at CR too
-        dim = handle.readline().count(" ")
-    if not dim:
-        raise ValueError(f"{emb_path}: the first line holds no embedding values")
 
     config = m.ModelConfig(
         variant=args.variant,
         doc_len=doc_len,
         num_classes=num_classes,
         fc_size=m.FC_SIZES[args.fc],
-        embed_dim=dim,
+        embed_dim=embedding.embedding_width(emb_path),
         seed=args.seed,
         lr=args.lr,
         epochs=args.epochs,
@@ -274,7 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         held_out = [token_docs[i] for i in perm[:n_val]]
         token_docs = [token_docs[i] for i in perm[n_val:]]
     train_data, val_data, test_data = _embedded(
-        emb_path, dim, doc_len, token_docs, held_out, _tokenized(test_docs)
+        emb_path, config.embed_dim, doc_len, token_docs, held_out, _tokenized(test_docs)
     )
 
     net = m.build_model(config)
@@ -296,14 +292,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     outputs.append(str(checkpoint_path))
 
     if net.best_params is not None:
+        best = m.build_model(config, net.best_params)
         if report.best_val_epoch == config.epochs - 1:  # the final parameters are the best
             report.test_accuracy_best_val = report.test_accuracy_final
-        else:
-            net.load_param_values(net.best_params)
-            if test_data is not None:
-                report.test_accuracy_best_val = m.evaluate(net, test_data)
+        elif test_data is not None:
+            report.test_accuracy_best_val = m.evaluate(best, test_data)
         best_path = out_dir / "model_best.slcnn"
-        m.save_checkpoint(net, best_path)
+        m.save_checkpoint(best, best_path)
         outputs.append(str(best_path))
 
     report_path = out_dir / "report.json"

@@ -176,7 +176,6 @@ def _load_jsonl(path: Path, bad_row) -> Iterator[RawDocument]:
 # --------------------------------------------------------------------------
 
 _TAG_RE = re.compile(r"<[^<>]*>")
-_WS_RE = re.compile(r"\s+")
 
 
 def clean_text(raw: str) -> str:
@@ -190,7 +189,7 @@ def clean_text(raw: str) -> str:
     for _ in range(10):
         out = _TAG_RE.sub(" ", text)
         out = html.unescape(out)
-        out = _WS_RE.sub(" ", out).strip()
+        out = " ".join(out.split())
         if out == text:
             return out
         text = out

@@ -77,6 +77,16 @@ def oov_vector(token: str, dim: int) -> np.ndarray:
     return vec
 
 
+def embedding_width(path: Path) -> int:
+    """The values per line of the embedding file at *path*: the spaces on
+    its first line, which may end at a bare CR too, or EmbeddingFormatError."""
+    with path.open(encoding="latin-1") as handle:  # reads any byte
+        dim = handle.readline().count(" ")
+    if not dim:
+        raise EmbeddingFormatError(f"{path}: the first line holds no embedding values")
+    return dim
+
+
 def load_embeddings(path: str | Path, dim: int,
                     tokens: AbstractSet[str] | None = None) -> EmbeddingTable:
     """Parse a text embedding file: one token plus *dim* values per line.

@@ -6,8 +6,8 @@ size-2 max-pool.  Two variants share four horizontal convolutional blocks
 word axis, fixed at the paper's t_s = 46 (SENT_LEN), to 1 (46 -> 22 -> 10
 -> 4 -> 1) while never mixing sentence rows.  The "+v" variant adds a
 vertical convolutional block (VCB) of 2x1 filters that pools along the
-sentences, mixing adjacent ones before the dense head.  After the first
-conv layer every bank convolves across all 128 channels.
+sentences, mixing adjacent ones before the dense head.  Every conv bank
+has the paper's k = 128 filters (NUM_FILTERS).
 
 The model reads a batch as its int32 grid ids (documents, sentences, words)
 and the frozen embedding matrix they index.  Pad is id 0 and nothing else.
@@ -59,6 +59,9 @@ SLCNN = "slcnn"
 SLCNN_V = "slcnn+v"
 VARIANTS = (SLCNN, SLCNN_V)
 
+NUM_FILTERS = 128  # the paper's k, the filters of every conv bank, fixed as t_s is
+_FIXED_FIELDS = {"sent_len": SENT_LEN, "num_filters": NUM_FILTERS}  # config fields once
+
 # Word-axis width after each HCB: each maps w -> (w - 2) // 2, from SENT_LEN.
 HCB_WIDTHS = (22, 10, 4, 1)
 
@@ -109,7 +112,6 @@ class ModelConfig:
     doc_len: int
     num_classes: int
     fc_size: int = 512
-    num_filters: int = 128
     embed_dim: int = 100
     seed: int = 0
     lr: float = 0.001
@@ -141,7 +143,7 @@ class ModelConfig:
     @property
     def flatten_size(self) -> int:
         rows = (self.doc_len - 2) // 2 if self.variant == SLCNN_V else self.doc_len
-        return rows * self.num_filters
+        return rows * NUM_FILTERS
 
 
 @dataclass
@@ -177,7 +179,7 @@ class Model:
         convs = [nn.ConvFilterBank(w, b) for w, b in pairs[:-3]]
         self.conv_banks, self.vcb_banks = convs[: 2 * len(HCB_WIDTHS)], convs[2 * len(HCB_WIDTHS):]
         self.fc1, self.fc2, self.out = (nn.DenseLayer(w, b) for w, b in pairs[-3:])
-        self.best_params: list[np.ndarray] | None = None
+        self.best_params: dict[str, np.ndarray] | None = None
 
     # -- parameters --------------------------------------------------------
 
@@ -185,14 +187,6 @@ class Model:
         """(name, array) pairs in _param_shapes order; checkpoints and the
         optimizer both follow this order."""
         return list(self._blocks.items())
-
-    def param_values(self) -> list[np.ndarray]:
-        return [arr.copy() for _, arr in self.param_blocks()]
-
-    def load_param_values(self, values: Sequence[np.ndarray]) -> None:
-        """Copy *values*, a param_values() list of this model, into place."""
-        for (_, arr), value in zip(self.param_blocks(), values):
-            arr[...] = value
 
     # -- forward / backward -------------------------------------------------
 
@@ -402,7 +396,7 @@ def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     Each layer is a weights block ``.w``, then a biases block ``.b`` the size
     of its first axis: the HCBs' 1x2 conv banks (k, 1, 2, c_in), the VCB's
     2x1 banks (k, 2, 1, k) for ``slcnn+v``, then the dense layers (out, in)."""
-    k, fc = config.num_filters, config.fc_size
+    k, fc = NUM_FILTERS, config.fc_size
     layers = [(f"hcb{i // 2 + 1}.conv{i % 2 + 1}", (k, 1, 2, k if i else config.embed_dim))
               for i in range(2 * len(HCB_WIDTHS))]
     if config.variant == SLCNN_V:
@@ -480,12 +474,12 @@ def train(
 
     Shuffling and dropout derive from the config seed, so identical
     configs produce bit-identical per-epoch loss sequences.  The final
-    model keeps its last-epoch weights; the best-validation snapshot is
-    stored on ``model.best_params``.  Each step runs in _train_step, whose
-    caches and gradients are freed when it returns, so one step's working
-    set is resident at a time (a Yelp-shape batch caches 45 MiB).
-    numpy's overflow and invalid-value warnings are off: a diverging run
-    reports itself once, as TrainingDivergedError.
+    model keeps its last-epoch weights; ``model.best_params`` holds a copy
+    of the best-validation ones, a parameter table for build_model.  Each
+    step runs in _train_step, whose caches and gradients are freed when it
+    returns, so one step's working set is resident at a time (a Yelp-shape
+    batch caches 45 MiB).  numpy's overflow and invalid-value warnings are
+    off: a diverging run reports itself once, as TrainingDivergedError.
     """
     cfg = model.config
     n = len(train_data)
@@ -520,7 +514,7 @@ def train(
                 best_acc = acc
                 report.best_val_epoch = epoch
                 report.best_val_accuracy = acc
-                model.best_params = model.param_values()
+                model.best_params = {name: arr.copy() for name, arr in model.param_blocks()}
         report.epoch_seconds.append(time.perf_counter() - t0)
         val = f" val_acc={report.val_accuracy[-1]:.4f}" if report.val_accuracy else ""
         log.info("epoch %d/%d loss=%.6f acc=%.4f%s (%.1fs)", epoch + 1, cfg.epochs,
@@ -576,10 +570,10 @@ def confusion_matrix(labels: np.ndarray, preds: np.ndarray, num_classes: int) ->
 def save_checkpoint(model: Model, path: str | Path) -> None:
     """An uncompressed npz, through fileio: member ``config`` holds the
     config's canonical JSON (sorted keys, compact separators) as uint8, with
-    ``"sent_len":46`` among its fields, then one little-endian float32 member
-    per parameter block follows, named, shaped and ordered as the layout
-    table _param_shapes says."""
-    config = json.dumps({**asdict(model.config), "sent_len": SENT_LEN}, sort_keys=True,
+    the _FIXED_FIELDS among its fields, then one little-endian float32
+    member per parameter block follows, named, shaped and ordered as the
+    layout table _param_shapes says."""
+    config = json.dumps({**asdict(model.config), **_FIXED_FIELDS}, sort_keys=True,
                         separators=(",", ":"))
     members = {"config": np.frombuffer(config.encode(), dtype=np.uint8)}
     members.update((name, arr.astype("<f4", copy=False)) for name, arr in model.param_blocks())
@@ -590,18 +584,20 @@ def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; forward outputs are bit-identical
     to the saved model's.  The members are checked against _param_shapes
     and become the model's arrays; nothing is drawn or copied.  Anything but
-    the members save_checkpoint writes, a config whose sent_len is not the
-    integer 46, and a non-finite value raise CheckpointError naming *path*."""
+    the members save_checkpoint writes, a fixed field that is not its
+    integer in _FIXED_FIELDS, and a non-finite value raise CheckpointError
+    naming *path*."""
     try:
         members = fileio.read_npz(path)
         saved = json.loads(members["config"].tobytes().decode())
-        sent_len = saved.pop("sent_len", None)
-        if (type(sent_len), sent_len) != (int, SENT_LEN):
-            raise ValueError(f"sent_len must be {SENT_LEN}, got {sent_len!r}")
+        for name, value in _FIXED_FIELDS.items():
+            stored = saved.pop(name, None)
+            if (type(stored), stored) != (int, value):
+                raise ValueError(f"{name} must be {value}, got {stored!r}")
         config = ModelConfig(**saved)
     except fileio.NpzError as exc:
         raise CheckpointError(f"not an npz checkpoint ({exc}): {path}") from None
-    # No config, not UTF-8 or a JSON object, another sent_len, a ConfigError.
+    # No config, not UTF-8 or a JSON object, another fixed field, a ConfigError.
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"bad config blob in checkpoint: {exc}: {path}") from exc
 

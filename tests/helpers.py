@@ -4,17 +4,22 @@ independent oracles the tests check production code against."""
 from __future__ import annotations
 
 import binascii
+import contextlib
 import csv
 import dataclasses
+import html
 import json
 import math
 import os
+import re
 import statistics
 import time
 import zipfile
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
+import pytest
 
 from slcnn import fileio, model, nn
 from slcnn.corpus import RawDocument, preprocess_document
@@ -298,8 +303,6 @@ CHECKPOINT_DEFECTS = {
                           "bad config blob in checkpoint: 'int' object has no attribute"),
     "float_doc_len": (_members_edit(_retyped_config("doc_len", float)),
                       "bad config blob in checkpoint: doc_len must be an integer"),
-    "float_num_filters": (_members_edit(_retyped_config("num_filters", float)),
-                          "bad config blob in checkpoint: num_filters must be an integer"),
     "bool_seed": (_members_edit(_retyped_config("seed", bool)),
                   "bad config blob in checkpoint: seed must be an integer"),
     # t_s is 46 (a constant, no config field), and every checkpoint records it.
@@ -309,6 +312,11 @@ CHECKPOINT_DEFECTS = {
                        "bad config blob in checkpoint: sent_len must be 46, got 46.0"),
     "no_sent_len": (_members_edit(_config_edit(lambda config: config.pop("sent_len"))),
                     "bad config blob in checkpoint: sent_len must be 46, got None"),
+    # k is 128 the same way.
+    "num_filters_64": (_members_edit(_config_edit(lambda config: config.update(num_filters=64))),
+                       "bad config blob in checkpoint: num_filters must be 128, got 64"),
+    "float_num_filters": (_members_edit(_retyped_config("num_filters", float)),
+                          "bad config blob in checkpoint: num_filters must be 128, got 128.0"),
 }
 
 
@@ -353,6 +361,18 @@ def load_embeddings_per_line(path: Path, dim: int, tokens: set[str] | None = Non
         raise EmbeddingFormatError(f"{path}: no lines")
     matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
     return vocab, matrix
+
+
+def clean_text_regex(raw: str) -> str:
+    """The clean_text oracle, in its earlier form: runs of re's ``\\s``
+    become one space, and the ends are stripped."""
+    text = raw
+    for _ in range(10):
+        out = re.sub(r"\s+", " ", html.unescape(re.sub(r"<[^<>]*>", " ", text))).strip()
+        if out == text:
+            return out
+        text = out
+    return text
 
 
 def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
@@ -630,6 +650,17 @@ def cross_entropy_oracle(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
+@contextlib.contextmanager
+def num_filters(k: int) -> Iterator[None]:
+    """Within, every conv bank has *k* filters (model.NUM_FILTERS) instead
+    of the paper's 128, so tests can run small models: those built, and the
+    checkpoints saved or loaded, within have k."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "NUM_FILTERS", k)
+        patch.setitem(model._FIXED_FIELDS, "num_filters", k)
+        yield
+
+
 def with_dtype(net: Model, dtype) -> Model:
     """A copy of *net* with every parameter cast to *dtype* (float64 shadow
     copies for gradient checking)."""
@@ -740,18 +771,18 @@ def randomize_biases(net: Model, rng: np.random.Generator) -> Model:
 def end_to_end_grad_check(doc_len: int, batch: int = 1, variant: str = "slcnn",
                           lengths=None) -> float:
     """Max relative FD error over every parameter of a shrunken full network
-    (num_filters=4, fc_size=8, 3 classes) in float64, ties excluded.  With
+    (4 filters, fc_size=8, 3 classes) in float64, ties excluded.  With
     *lengths* (batch, doc_len), row (i, j) keeps its first lengths[i][j]
     words and the rest is pad, and the biases are nonzero."""
     cfg = ModelConfig(
-        variant=variant, doc_len=doc_len, num_classes=3, fc_size=8, num_filters=4,
-        seed=0, dropout_rate=0.0,
+        variant=variant, doc_len=doc_len, num_classes=3, fc_size=8, seed=0, dropout_rate=0.0,
     )
     # A parameter step of epsilon shifts any pre-activation by at most
     # ~epsilon * |activation| ~ 1e-4, so a 3e-4 margin keeps every ReLU and
     # pooling decision on its side of the kink during differencing.
     for seed in range(200):
-        net64 = with_dtype(build_model(dataclasses.replace(cfg, seed=seed)), F64)
+        with num_filters(4):
+            net64 = with_dtype(build_model(dataclasses.replace(cfg, seed=seed)), F64)
         rng = np.random.default_rng(500 + seed)
         x = rng.normal(size=(batch, doc_len, 46, 100))
         labels = rng.integers(0, 3, size=batch)

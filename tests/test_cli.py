@@ -129,6 +129,29 @@ class TestTrain:
         assert (out_dir / "model_best.slcnn").read_bytes() == \
             (out_dir / "model.slcnn").read_bytes()
 
+    def test_best_checkpoint_is_the_run_stopped_after_its_epoch(self, synth_train_csv,
+                                                               synth_embeddings, tmp_path,
+                                                               capsys):
+        # Shuffles and dropout masks are keyed by (seed, epoch), so the
+        # parameters after epoch b do not depend on the epochs still to come.
+        # Only the config's epochs tells the two checkpoints apart.
+        argv = ["train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+                "--limit", "48", "--val-frac", "0.25", "--seed", "0", "--batch-size", "8"]
+        code, _, _ = run_cli(argv + ["--epochs", "5", "--out-dir", str(tmp_path / "run")], capsys)
+        assert code == 0
+        best_epoch = json.loads((tmp_path / "run" / "report.json").read_text())["best_val_epoch"]
+        assert best_epoch == 3  # not the last
+        code, _, _ = run_cli(argv + ["--epochs", str(best_epoch + 1),
+                                     "--out-dir", str(tmp_path / "stopped")], capsys)
+        assert code == 0
+        best = fileio.read_npz(tmp_path / "run" / "model_best.slcnn")
+        stopped = fileio.read_npz(tmp_path / "stopped" / "model.slcnn")
+        assert list(best) == list(stopped)
+        configs = [json.loads(members.pop("config").tobytes()) for members in (best, stopped)]
+        assert configs[0] == {**configs[1], "epochs": 5}
+        for name, arr in best.items():
+            assert arr.tobytes() == stopped[name].tobytes(), name
+
     def test_invalid_config_exits_2_before_training(self, synth_train_csv, synth_embeddings,
                                                     tmp_path, capsys):
         out_dir = tmp_path / "never"
@@ -1282,7 +1305,7 @@ class TestOptionSurface:
 
     def test_model_config_fields(self):
         assert [field.name for field in dataclasses.fields(m.ModelConfig)] == [
-            "variant", "doc_len", "num_classes", "fc_size", "num_filters", "embed_dim",
+            "variant", "doc_len", "num_classes", "fc_size", "embed_dim",
             "seed", "lr", "epochs", "batch_size", "dropout_rate",
         ]
 

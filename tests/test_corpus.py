@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import statistics
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,22 @@ class TestLoadDataset:
 # clean_text
 # --------------------------------------------------------------------------
 
+def _whitespace() -> list[str]:
+    """Every code point that re's ``\\s`` or str.isspace takes for whitespace."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    return sorted(set(re.findall(r"\s", every)) | set(filter(str.isspace, every)))
+
+
+_SPACES = _whitespace()
+# Pieces of markup-heavy text: tags, entities (U+200B is no whitespace, U+2028
+# is), every whitespace code point, raw and as an entity, and abbreviations.
+_MARKUP_PIECES = [
+    "<b>", "</p>", "<br/>", "<a href='x'>", "<", ">", "&nbsp;", "&#8203;", "&#x2028;",
+    "&amp;", "&lt;i&gt;", *_SPACES, *(f"&#x{ord(c):x};" for c in _SPACES),
+    "Dr.", "e.g.", "U.S.", "No.", "etc.", "Smith", "He", ". ", "! ", "? ", "42", "word",
+]
+
+
 class TestCleanText:
     def test_tag_strip_and_whitespace_collapse(self):
         assert clean_text("<b>Good</b>  phone.") == "Good phone."
@@ -153,6 +171,17 @@ class TestCleanText:
     def test_idempotent_markupish(self, text):
         once = clean_text(text)
         assert clean_text(once) == once
+
+    @given(st.lists(st.one_of(st.sampled_from(_MARKUP_PIECES), st.text(max_size=8)),
+                    max_size=30))
+    @settings(max_examples=500, deadline=None)
+    def test_preprocess_matches_the_regex_whitespace_oracle(self, pieces):
+        text = "".join(pieces)
+        cleaned = helpers.clean_text_regex(text)
+        want = [tokenize_words(s) for s in split_sentences(cleaned)]
+        assert clean_text(text) == cleaned
+        assert preprocess_document(RawDocument(label=0, fields=[text])) == \
+            [tokens for tokens in want if tokens]
 
 
 # --------------------------------------------------------------------------

@@ -86,13 +86,15 @@ class TestShapeCollapse:
     @pytest.mark.parametrize("doc_len,expected", [(4, 1), (6, 2), (10, 4), (20, 9)])
     def test_vcb_row_recurrence(self, doc_len, expected):
         assert (doc_len - 2) // 2 == expected  # the recurrence itself
-        net = _tiny_model("slcnn+v", doc_len)
+        with helpers.num_filters(5):
+            net = _tiny_model("slcnn+v", doc_len)
         x = np.random.default_rng(0).normal(size=(2, doc_len, 46, 6)).astype(F32)
         assert helpers.features(net, x).shape == (2, expected, 1, 5)
 
     @pytest.mark.parametrize("rows", [1, 2, 5, 20])
     def test_hcb_preserves_rows(self, rows):
-        net = _tiny_model("slcnn", rows)
+        with helpers.num_filters(5):
+            net = _tiny_model("slcnn", rows)
         x = np.random.default_rng(rows).normal(size=(2, rows, 46, 6)).astype(F32)
         assert helpers.features(net, x).shape == (2, rows, 1, 5)
 
@@ -110,9 +112,14 @@ def _arrays_in(obj) -> Iterator[np.ndarray]:
 
 
 def _tiny_model(variant: str, doc_len: int) -> Model:
-    """A full trunk with 5 filters over 6-d embeddings."""
+    """A full trunk over 6-d embeddings; with helpers.num_filters(5), of 5 filters."""
     return build_model(ModelConfig(variant=variant, doc_len=doc_len, num_classes=3,
-                                   num_filters=5, embed_dim=6, fc_size=8))
+                                   embed_dim=6, fc_size=8))
+
+
+def _param_copies(net: Model) -> list[np.ndarray]:
+    """A copy of each array of net.param_blocks(), in its order."""
+    return [arr.copy() for _, arr in net.param_blocks()]
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +163,7 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match=field):
             ModelConfig(variant="slcnn", doc_len=4, num_classes=4, **{field: value})
 
-    @pytest.mark.parametrize("field", ["embed_dim", "num_filters", "fc_size"])
+    @pytest.mark.parametrize("field", ["embed_dim", "fc_size"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_empty_layer_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -297,7 +304,7 @@ class TestTrain:
         cfg = ModelConfig(variant="slcnn", doc_len=4, num_classes=3, seed=1,
                           epochs=4, batch_size=12, dropout_rate=0.0)
         net = build_model(cfg)
-        before = net.param_values()
+        before = _param_copies(net)
         # The config rejects lr 0, so the update itself is switched off:
         # nothing else in a training step may move a parameter.
         monkeypatch.setattr(nn, "adam_step", lambda *args: None)
@@ -314,7 +321,7 @@ class TestTrain:
                               epochs=3, batch_size=8)
             net = build_model(cfg)
             report = train(net, data)
-            return report.train_loss, net.param_values()
+            return report.train_loss, _param_copies(net)
 
         loss_a, params_a = run()
         loss_b, params_b = run()
@@ -333,7 +340,8 @@ class TestTrain:
         assert len(report.val_accuracy) == 3
         assert len(report.epoch_seconds) == 3
         assert report.best_val_epoch is not None
-        assert net.best_params is not None
+        assert [(name, arr.shape) for name, arr in net.best_params.items()] == \
+            model._param_shapes(cfg)
         assert all(0.0 <= a <= 1.0 for a in report.train_accuracy + report.val_accuracy)
 
     def test_one_step_resident(self, monkeypatch):
@@ -341,8 +349,9 @@ class TestTrain:
         # ReLU masks, pool choices, row indices) is freed before the next
         # step's forward starts.
         data = random_dataset(24, 4, 3, seed=27, padded=True)
-        net = build_model(ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, seed=8,
-                                      num_filters=8, fc_size=16, epochs=1, batch_size=8))
+        with helpers.num_filters(8):
+            net = build_model(ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, seed=8,
+                                          fc_size=16, epochs=1, batch_size=8))
         forward = Model._forward_with_caches
         steps: list[list[weakref.ref]] = []
 
@@ -397,7 +406,7 @@ class TestTrain:
         data = random_dataset(8, 4, 2, seed=23)
         net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=2, seed=3,
                                       epochs=1, batch_size=8))
-        before = net.param_values()
+        before = _param_copies(net)
         fc1_w = [name for name, _ in net.param_blocks()].index("fc1.w")
         backward = net._backward
 
@@ -458,8 +467,8 @@ class TestEvaluate:
         # The trunk gathers each row block's vectors from the ids; one eval
         # batch of 64 Yelp-shape documents as a float tensor is 22.5 MiB.
         data = random_dataset(64, 20, 5, seed=29, vocab=2000)
-        net = build_model(ModelConfig(variant="slcnn+v", doc_len=20, num_classes=5,
-                                      num_filters=8))
+        with helpers.num_filters(8):
+            net = build_model(ModelConfig(variant="slcnn+v", doc_len=20, num_classes=5))
         tracemalloc.start()
         try:
             predict_labels(net, data)
@@ -527,7 +536,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("defect", sorted(helpers.CHECKPOINT_DEFECTS))
     def test_defect_behind_valid_checksum_rejected(self, tmp_path, defect):
         path = tmp_path / "m.slcnn"
-        save_checkpoint(_tiny_model("slcnn", 4), path)
+        save_checkpoint(_tiny_model("slcnn", 4), path)  # 128 filters, as the messages say
         helpers.defective_checkpoint(path, defect)
         message = helpers.CHECKPOINT_DEFECTS[defect][1]
         with pytest.raises(CheckpointError, match=re.escape(message)) as caught:
@@ -546,17 +555,27 @@ class TestCheckpoint:
             load_checkpoint(bad)
 
     def test_config_member_records_sent_len_46(self, tmp_path):
-        # ModelConfig has no sent_len, but the file keeps the key, so a
-        # checkpoint keeps its bytes and every earlier one still loads.
+        # ModelConfig has no sent_len or num_filters, but the file keeps the
+        # keys, so a checkpoint keeps its bytes and every earlier one loads.
         path = tmp_path / "m.slcnn"
         save_checkpoint(_tiny_model("slcnn", 4), path)
-        assert b',"sent_len":46,' in fileio.read_npz(path)["config"].tobytes()
+        config = fileio.read_npz(path)["config"].tobytes()
+        assert b',"num_filters":128,' in config and b',"sent_len":46,' in config
+
+    def test_checkpoint_of_other_filters_is_refused(self, tmp_path):
+        path = tmp_path / "m.slcnn"
+        with helpers.num_filters(5):
+            save_checkpoint(_tiny_model("slcnn", 4), path)
+            assert load_checkpoint(path).conv_banks[0].weights.shape == (5, 1, 2, 6)
+        with pytest.raises(CheckpointError, match="num_filters must be 128, got 5"):
+            load_checkpoint(path)
 
     def test_same_model_gives_the_same_bytes(self, tmp_path):
         # The zip entries carry a fixed timestamp, not the time of writing.
-        net = _tiny_model("slcnn+v", 4)
-        save_checkpoint(net, tmp_path / "a.slcnn")
-        save_checkpoint(net, tmp_path / "b.slcnn")
+        with helpers.num_filters(5):
+            net = _tiny_model("slcnn+v", 4)
+            save_checkpoint(net, tmp_path / "a.slcnn")
+            save_checkpoint(net, tmp_path / "b.slcnn")
         assert (tmp_path / "a.slcnn").read_bytes() == (tmp_path / "b.slcnn").read_bytes()
         with zipfile.ZipFile(tmp_path / "a.slcnn") as archive:
             assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
@@ -603,7 +622,8 @@ class TestCheckpoint:
             bad = Path(tmp) / "bad.slcnn"
             bad.write_bytes(damaged)
             try:
-                loaded = load_checkpoint(bad)
+                with helpers.num_filters(5):
+                    loaded = load_checkpoint(bad)
             except CheckpointError as exc:
                 assert str(bad) in str(exc)
                 return
@@ -615,12 +635,13 @@ class TestCheckpoint:
     @pytest.fixture(scope="class")
     def tiny_checkpoint(self, tmp_path_factory) -> tuple[Model, bytes]:
         """A small model with generic parameters, and its checkpoint's bytes."""
-        net = _tiny_model("slcnn+v", 4)
-        rng = np.random.default_rng(3)
-        for _, arr in net.param_blocks():
-            arr[...] = rng.normal(size=arr.shape)
-        path = tmp_path_factory.mktemp("ckpt") / "m.slcnn"
-        save_checkpoint(net, path)
+        with helpers.num_filters(5):
+            net = _tiny_model("slcnn+v", 4)
+            rng = np.random.default_rng(3)
+            for _, arr in net.param_blocks():
+                arr[...] = rng.normal(size=arr.shape)
+            path = tmp_path_factory.mktemp("ckpt") / "m.slcnn"
+            save_checkpoint(net, path)
         return net, path.read_bytes()
 
 
@@ -668,10 +689,11 @@ class TestRowBlocks:
 
         def run():
             cfg = ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, seed=7,
-                              epochs=2, batch_size=5, num_filters=16, fc_size=32)
-            net = build_model(cfg)
+                              epochs=2, batch_size=5, fc_size=32)
+            with helpers.num_filters(16):
+                net = build_model(cfg)
             report = train(net, data)
-            return report.train_loss, net.param_values()
+            return report.train_loss, _param_copies(net)
 
         loss_a, params_a = run()
         loss_b, params_b = run()
@@ -721,9 +743,10 @@ class TestLengthAwareTrunk:
     @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
     def test_float64_matches_dense_oracle(self, row_block, variant):
         rng = np.random.default_rng(60)
-        cfg = ModelConfig(variant=variant, doc_len=4, num_classes=3, num_filters=16,
-                          embed_dim=12, fc_size=16, dropout_rate=0.0)
-        net = helpers.randomize_biases(helpers.with_dtype(build_model(cfg), np.float64), rng)
+        cfg = ModelConfig(variant=variant, doc_len=4, num_classes=3, embed_dim=12, fc_size=16,
+                          dropout_rate=0.0)
+        with helpers.num_filters(16):
+            net = helpers.randomize_biases(helpers.with_dtype(build_model(cfg), np.float64), rng)
         x = helpers.pad_rows(rng.normal(size=(3, 4, 46, 12)), MIXED_LENGTHS)
         labels = np.array([0, 1, 2])
         logits, grads = _logits_and_grads(net, x, labels)
@@ -752,9 +775,10 @@ class TestLengthAwareTrunk:
     @pytest.mark.parametrize("variant", ["slcnn", "slcnn+v"])
     def test_full_rows_bit_identical_to_dense_oracle(self, row_block, variant):
         rng = np.random.default_rng(62)
-        net = helpers.randomize_biases(
-            build_model(ModelConfig(variant=variant, doc_len=4, num_classes=4,
-                                    num_filters=32, fc_size=64)), rng)
+        with helpers.num_filters(32):
+            net = helpers.randomize_biases(
+                build_model(ModelConfig(variant=variant, doc_len=4, num_classes=4, fc_size=64)),
+                rng)
         x = rng.normal(0, 0.4, size=(5, 4, 46, 100)).astype(F32)
         labels = rng.integers(0, 4, size=5)
         logits, grads = _logits_and_grads(net, x, labels)
@@ -767,8 +791,9 @@ class TestLengthAwareTrunk:
         # Eval and predict never backpropagate, so the trunk frees each
         # block's conv and pool caches as it goes; the logits are the same.
         rng = np.random.default_rng(64)
-        net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3, num_filters=16,
-                                      embed_dim=12, fc_size=16, dropout_rate=0.0))
+        with helpers.num_filters(16):
+            net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3,
+                                          embed_dim=12, fc_size=16, dropout_rate=0.0))
         x = helpers.pad_rows(rng.normal(size=(3, 4, 46, 12)).astype(F32), MIXED_LENGTHS)
         ids, matrix = helpers.as_ids(x)
         logits, ((hcb_cache, _), *_) = net._forward_with_caches(ids, matrix, None)
@@ -783,9 +808,9 @@ class TestLengthAwareTrunk:
         # Pad is id 0 and nothing else: a live id whose row is all zeros is
         # a word, wherever it stands, and the first block computes it.
         rng = np.random.default_rng(63)
-        cfg = ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, num_filters=16,
-                          embed_dim=12, fc_size=16)
-        net = helpers.randomize_biases(helpers.with_dtype(build_model(cfg), np.float64), rng)
+        cfg = ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, embed_dim=12, fc_size=16)
+        with helpers.num_filters(16):
+            net = helpers.randomize_biases(helpers.with_dtype(build_model(cfg), np.float64), rng)
         ids = np.zeros((3, 4, 46), np.int32)
         ids[1, 1, :17] = np.arange(1, 18)  # the longest row: 17 words
         ids[0, 2, :5] = np.arange(18, 23)
@@ -803,10 +828,11 @@ class TestLengthAwareTrunk:
 
         def run():
             cfg = ModelConfig(variant="slcnn+v", doc_len=4, num_classes=3, seed=7,
-                              epochs=2, batch_size=5, num_filters=16, fc_size=32)
-            net = build_model(cfg)
+                              epochs=2, batch_size=5, fc_size=32)
+            with helpers.num_filters(16):
+                net = build_model(cfg)
             report = train(net, data)
-            return report.train_loss, net.param_values()
+            return report.train_loss, _param_copies(net)
 
         loss_a, params_a = run()
         loss_b, params_b = run()
