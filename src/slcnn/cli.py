@@ -158,14 +158,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from . import corpus
 
     path = _resolve_input(args.input)
-    stats = corpus.corpus_stats(_load_docs(args, path))
-    payload = {"schema_version": 1, **stats.__dict__}
+    payload = {"schema_version": 1, **corpus.corpus_stats(_load_docs(args, path))}
     _emit(payload, args, args.out, (path,))
     return 0
 
 
 def _load_docs(args, path: Path, limit: int | None = None, seed: int = 0):
-    """The usable documents of *path*; with *limit*, a seeded subset of that many."""
+    """The usable documents of *path*; with *limit*, a subset of that many drawn with *seed*."""
     import numpy as np
     from . import corpus
     from .model import STREAM_LIMIT
@@ -282,7 +281,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     report = m.train(net, train_data, val_data)
     if test_data is not None:
-        report.test_accuracy_final = m.evaluate(net, test_data)
+        report["test_accuracy_final"] = m.evaluate(net, test_data)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -291,18 +290,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     m.save_checkpoint(net, checkpoint_path)
     outputs.append(str(checkpoint_path))
 
-    if net.best_params is not None:
+    best_path = out_dir / "model_best.slcnn"
+    if net.best_params is None:  # an earlier run's best model is not this run's
+        best_path.unlink(missing_ok=True)
+    else:
         best = m.build_model(config, net.best_params)
-        if report.best_val_epoch == config.epochs - 1:  # the final parameters are the best
-            report.test_accuracy_best_val = report.test_accuracy_final
+        if report["best_val_epoch"] == config.epochs - 1:  # the final parameters are the best
+            report["test_accuracy_best_val"] = report["test_accuracy_final"]
         elif test_data is not None:
-            report.test_accuracy_best_val = m.evaluate(best, test_data)
-        best_path = out_dir / "model_best.slcnn"
+            report["test_accuracy_best_val"] = m.evaluate(best, test_data)
         m.save_checkpoint(best, best_path)
         outputs.append(str(best_path))
 
     report_path = out_dir / "report.json"
-    _write_text(report_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     outputs.append(str(report_path))
 
     inputs = tuple(p for p in (train_path, emb_path, test_path, val_path) if p)
@@ -312,12 +313,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         "schema_version": 1,
         "checkpoint": str(checkpoint_path),
         "report": str(report_path),
-        "final_train_accuracy": report.train_accuracy[-1],
-        "final_train_loss": report.train_loss[-1],
+        "final_train_accuracy": report["train_accuracy"][-1],
+        "final_train_loss": report["train_loss"][-1],
     }
     for key in ("best_val_accuracy", "test_accuracy_final", "test_accuracy_best_val"):
-        if getattr(report, key) is not None:
-            summary[key] = getattr(report, key)
+        if report[key] is not None:
+            summary[key] = report[key]
     _emit(summary, args, None)
     return 0
 
@@ -331,7 +332,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     net = m.load_checkpoint(ckpt_path)
     config = net.config
-    docs = _load_docs(args, data_path, args.limit, config.seed)
+    docs = _load_docs(args, data_path, args.limit)
     _check_labels(docs, config.num_classes, data_path)
     (data,) = _embedded(emb_path, config.embed_dim, config.doc_len, _tokenized(docs))
     preds = m.predict_labels(net, data)
@@ -448,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--limit", type=_int_at_least)
+    p.add_argument("--limit", type=_int_at_least,
+                   help="evaluate on a fixed subset of N documents, the same for any checkpoint")
     p.add_argument("--out", type=_out_file, help="also write the JSON to this file")
     common_io(p)
     p.set_defaults(handler=cmd_eval)

@@ -47,21 +47,6 @@ class RawDocument:
         return " ".join(head + parts[-1:])
 
 
-@dataclass
-class CorpusStats:
-    num_documents: int
-    num_sentences: int
-    pct_cropped_sentences: float
-    pct_cropped_documents: float
-    pct_docs_with_cropped_sentences: float
-    max_sentences_per_doc: int
-    max_words_per_sentence: int
-    vocab_size: int
-    mean_sentences_per_doc: float
-    stddev_sentences_per_doc: float
-    t_d: int
-
-
 # --------------------------------------------------------------------------
 # Loading
 # --------------------------------------------------------------------------
@@ -269,8 +254,8 @@ def compute_doc_threshold(sentence_counts: Sequence[int]) -> int:
     return max(1, math.ceil(value))
 
 
-def corpus_stats(dataset: Iterable[RawDocument]) -> CorpusStats:
-    """Single-pass corpus statistics over at least one document.
+def corpus_stats(dataset: Iterable[RawDocument]) -> dict:
+    """Single-pass corpus statistics over at least one document, by name.
 
     Crop percentages use strict inequalities: a sentence is cropped when it
     has more than SENT_LEN words and a document when it has more than the
@@ -298,25 +283,27 @@ def corpus_stats(dataset: Iterable[RawDocument]) -> CorpusStats:
 
     num_docs = len(sent_counts)
     num_sentences = sum(sent_counts)
+    # Sorted: np.std's last bit depends on the order of the counts, and
+    # the statistics must not depend on the order of the documents.
     counts = np.array(sorted(sent_counts), dtype=np.int64)
     mu = float(np.mean(counts))
     sigma = float(np.std(counts))
     t_d = compute_doc_threshold(counts)
     cropped_docs = sum(c > t_d for c in sent_counts)
 
-    return CorpusStats(
-        num_documents=num_docs,
-        num_sentences=num_sentences,
-        pct_cropped_sentences=100.0 * cropped_sentences / max(1, num_sentences),
-        pct_cropped_documents=100.0 * cropped_docs / num_docs,
-        pct_docs_with_cropped_sentences=100.0 * docs_with_cropped_sentences / num_docs,
-        max_sentences_per_doc=max(sent_counts),
-        max_words_per_sentence=max_words,
-        vocab_size=len(vocab),
-        mean_sentences_per_doc=mu,
-        stddev_sentences_per_doc=sigma,
-        t_d=t_d,
-    )
+    return {
+        "num_documents": num_docs,
+        "num_sentences": num_sentences,
+        "pct_cropped_sentences": 100.0 * cropped_sentences / max(1, num_sentences),
+        "pct_cropped_documents": 100.0 * cropped_docs / num_docs,
+        "pct_docs_with_cropped_sentences": 100.0 * docs_with_cropped_sentences / num_docs,
+        "max_sentences_per_doc": max(sent_counts),
+        "max_words_per_sentence": max_words,
+        "vocab_size": len(vocab),
+        "mean_sentences_per_doc": mu,
+        "stddev_sentences_per_doc": sigma,
+        "t_d": t_d,
+    }
 
 
 # --------------------------------------------------------------------------

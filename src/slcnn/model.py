@@ -45,7 +45,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -146,26 +146,6 @@ class ModelConfig:
         return rows * NUM_FILTERS
 
 
-@dataclass
-class TrainReport:
-    """Per-epoch training trace plus final evaluation numbers."""
-
-    config: dict
-    train_loss: list[float] = field(default_factory=list)
-    train_accuracy: list[float] = field(default_factory=list)
-    val_accuracy: list[float] = field(default_factory=list)
-    epoch_seconds: list[float] = field(default_factory=list)
-    best_val_epoch: int | None = None
-    best_val_accuracy: float | None = None
-    test_accuracy_final: float | None = None
-    test_accuracy_best_val: float | None = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["schema_version"] = 1
-        return d
-
-
 class Model:
     """Parameter container plus forward/backward for one variant."""
 
@@ -175,10 +155,9 @@ class Model:
         pairs, taken by position, and share its arrays."""
         self.config = config
         self._blocks = blocks
-        pairs = list(zip(*[iter(blocks.values())] * 2))  # (weights, biases)
-        convs = [nn.ConvFilterBank(w, b) for w, b in pairs[:-3]]
+        pairs = zip(*[iter(blocks.values())] * 2)  # (weights, biases)
+        *convs, self.fc1, self.fc2, self.out = (nn.Layer(w, b) for w, b in pairs)
         self.conv_banks, self.vcb_banks = convs[: 2 * len(HCB_WIDTHS)], convs[2 * len(HCB_WIDTHS):]
-        self.fc1, self.fc2, self.out = (nn.DenseLayer(w, b) for w, b in pairs[-3:])
         self.best_params: dict[str, np.ndarray] | None = None
 
     # -- parameters --------------------------------------------------------
@@ -237,7 +216,7 @@ class Model:
             blocks.append((idx, caches, lives))
         return out, (order[live_rows:], blocks, pad_caches)
 
-    def _hcb_banks(self) -> list[list[nn.ConvFilterBank]]:
+    def _hcb_banks(self) -> list[list[nn.Layer]]:
         """The two conv banks of each HCB, first HCB first."""
         return [self.conv_banks[i : i + 2] for i in range(0, len(self.conv_banks), 2)]
 
@@ -330,7 +309,7 @@ class Model:
 
 
 def _block_forward(
-    y: np.ndarray, banks: Sequence[nn.ConvFilterBank], axis: str
+    y: np.ndarray, banks: Sequence[nn.Layer], axis: str
 ) -> tuple[np.ndarray, tuple]:
     """One block: conv+ReLU, conv+ReLU, then a size-2 max-pool along *axis*."""
     y, c1 = nn.conv2d_forward(y, banks[0])
@@ -340,7 +319,7 @@ def _block_forward(
 
 
 def _block_backward(
-    banks: Sequence[nn.ConvFilterBank], caches: tuple, g: np.ndarray, need_input_grad: bool = True
+    banks: Sequence[nn.Layer], caches: tuple, g: np.ndarray, need_input_grad: bool = True
 ) -> tuple[np.ndarray | None, list[np.ndarray]]:
     """The block's input gradient (None without *need_input_grad*) and its
     bank gradients [gw1, gb1, gw2, gb2], in param_blocks() order."""
@@ -468,9 +447,11 @@ def _batches(n: int, batch_size: int, order: np.ndarray | None = None) -> Iterat
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     model: Model, train_data: EmbeddedDataset, val_data: EmbeddedDataset | None = None
-) -> TrainReport:
+) -> dict:
     """Mini-batch Adam training for config.epochs epochs, from fresh Adam
-    moments; each epoch logs one line on the ``slcnn`` logger.
+    moments; each epoch logs one line on the ``slcnn`` logger.  Returns the
+    report: the config, per-epoch lists and the best validation epoch and
+    accuracy (None without *val_data*), with its test accuracies left None.
 
     Shuffling and dropout derive from the config seed, so identical
     configs produce bit-identical per-epoch loss sequences.  The final
@@ -485,7 +466,10 @@ def train(
     n = len(train_data)
     params = [arr for _, arr in model.param_blocks()]
     state = nn.AdamState.for_params(params, lr=cfg.lr)
-    report = TrainReport(config=asdict(cfg))
+    report = {"schema_version": 1, "config": asdict(cfg), "train_loss": [], "train_accuracy": [],
+              "val_accuracy": [], "epoch_seconds": [], "best_val_epoch": None,
+              "best_val_accuracy": None, "test_accuracy_final": None,
+              "test_accuracy_best_val": None}
     best_acc = -1.0
 
     sample_losses = np.zeros(n, dtype=np.float64)
@@ -505,20 +489,21 @@ def train(
             # fixed order, so the epoch loss does not depend on the shuffle.
             sample_losses[idx] = losses
             correct += int((logits.argmax(axis=1) == y).sum())
-        report.train_loss.append(float(sample_losses.sum()) / n)
-        report.train_accuracy.append(correct / n)
+        report["train_loss"].append(float(sample_losses.sum()) / n)
+        report["train_accuracy"].append(correct / n)
         if val_data is not None:
             acc = evaluate(model, val_data)
-            report.val_accuracy.append(acc)
+            report["val_accuracy"].append(acc)
             if acc > best_acc:
                 best_acc = acc
-                report.best_val_epoch = epoch
-                report.best_val_accuracy = acc
+                report["best_val_epoch"] = epoch
+                report["best_val_accuracy"] = acc
                 model.best_params = {name: arr.copy() for name, arr in model.param_blocks()}
-        report.epoch_seconds.append(time.perf_counter() - t0)
-        val = f" val_acc={report.val_accuracy[-1]:.4f}" if report.val_accuracy else ""
+        report["epoch_seconds"].append(time.perf_counter() - t0)
+        val = f" val_acc={report['val_accuracy'][-1]:.4f}" if report["val_accuracy"] else ""
         log.info("epoch %d/%d loss=%.6f acc=%.4f%s (%.1fs)", epoch + 1, cfg.epochs,
-                 report.train_loss[-1], report.train_accuracy[-1], val, report.epoch_seconds[-1])
+                 report["train_loss"][-1], report["train_accuracy"][-1], val,
+                 report["epoch_seconds"][-1])
     return report
 
 

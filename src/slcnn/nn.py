@@ -37,34 +37,33 @@ GRAD_FLOOR = 2.0**-100
 
 
 # --------------------------------------------------------------------------
-# Parameter containers
+# Layers and their caches
 # --------------------------------------------------------------------------
 
 @dataclass
-class ConvFilterBank:
-    """k filters of spatial extent s x t over c_in input channels."""
+class Layer:
+    """A conv bank, k filters of extent s x t over c_in input channels with
+    weights (k, s, t, c_in), or a dense layer with weights (out, in); one
+    bias per row of the first axis."""
 
-    weights: np.ndarray  # (k, s, t, c_in)
-    biases: np.ndarray  # (k,)
+    weights: np.ndarray
+    biases: np.ndarray
 
 
 @dataclass
-class DenseLayer:
-    weights: np.ndarray  # (out, in)
-    biases: np.ndarray  # (out,)
+class Cache:
+    """What a conv or dense backward reads: the forward input and its ReLU
+    mask (None for the identity output layer)."""
+
+    x: np.ndarray
+    relu_mask: np.ndarray | None
 
 
 # --------------------------------------------------------------------------
 # Convolution (valid, stride 1)
 # --------------------------------------------------------------------------
 
-@dataclass
-class ConvCache:
-    x: np.ndarray
-    relu_mask: np.ndarray
-
-
-def conv2d_forward(x: np.ndarray, bank: ConvFilterBank) -> tuple[np.ndarray, ConvCache]:
+def conv2d_forward(x: np.ndarray, bank: Layer) -> tuple[np.ndarray, Cache]:
     """Valid convolution, stride 1, then ReLU:
     out[i,j,q] = relu(sum_w x-window + b[q]).
 
@@ -88,12 +87,12 @@ def conv2d_forward(x: np.ndarray, bank: ConvFilterBank) -> tuple[np.ndarray, Con
     out = flat.reshape(batch, om, on, k)
     mask = out > 0
     np.maximum(out, 0, out=out)
-    return out, ConvCache(x=x, relu_mask=mask)
+    return out, Cache(x=x, relu_mask=mask)
 
 
 def conv2d_backward(
-    bank: ConvFilterBank,
-    cache: ConvCache,
+    bank: Layer,
+    cache: Cache,
     upstream: np.ndarray,
     need_input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -173,26 +172,20 @@ def maxpool_backward(cache: PoolCache, upstream: np.ndarray) -> np.ndarray:
 # Dense
 # --------------------------------------------------------------------------
 
-@dataclass
-class DenseCache:
-    x: np.ndarray
-    relu_mask: np.ndarray | None
-
-
 def dense_forward(
-    x: np.ndarray, layer: DenseLayer, activation: str = "relu"
-) -> tuple[np.ndarray, DenseCache]:
+    x: np.ndarray, layer: Layer, activation: str = "relu"
+) -> tuple[np.ndarray, Cache]:
     """out = act(x W^T + b) for a batch of vectors x, shaped (B, in)."""
     out = x @ layer.weights.T + layer.biases
     mask = None
     if activation == "relu":
         mask = out > 0
         np.maximum(out, 0, out=out)
-    return out, DenseCache(x=x, relu_mask=mask)
+    return out, Cache(x=x, relu_mask=mask)
 
 
 def dense_backward(
-    layer: DenseLayer, cache: DenseCache, upstream: np.ndarray
+    layer: Layer, cache: Cache, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     up = upstream if cache.relu_mask is None else upstream * cache.relu_mask
     grad_w = up.T @ cache.x

@@ -505,7 +505,7 @@ def corpus_stats_bruteforce(docs: list[RawDocument], sent_len: int) -> dict:
 F64 = np.float64
 
 
-def conv_preactivation(x: np.ndarray, bank: nn.ConvFilterBank) -> np.ndarray:
+def conv_preactivation(x: np.ndarray, bank: nn.Layer) -> np.ndarray:
     """The valid, stride-1 conv of the batch x (B, m, n, c) before its ReLU,
     one matmul per filter tap."""
     _, s, t, _ = bank.weights.shape
@@ -527,19 +527,19 @@ def fd_sweep_conv(trials: int = 100) -> dict[str, float]:
             w = rng.normal(size=(3, 1, 2, 2)) * 0.7
             b = rng.normal(size=3) * 0.3
             u = rng.normal(size=(2, 3, 5, 3))
-            if np.abs(conv_preactivation(x, nn.ConvFilterBank(w, b))).min() > 5e-3:
+            if np.abs(conv_preactivation(x, nn.Layer(w, b))).min() > 5e-3:
                 break
 
-        _, cache64 = nn.conv2d_forward(x, nn.ConvFilterBank(w, b))
-        gx64, gw64, gb64 = nn.conv2d_backward(nn.ConvFilterBank(w, b), cache64, u)
+        _, cache64 = nn.conv2d_forward(x, nn.Layer(w, b))
+        gx64, gw64, gb64 = nn.conv2d_backward(nn.Layer(w, b), cache64, u)
         x32, w32, b32, u32 = (a.astype(np.float32) for a in (x, w, b, u))
-        _, cache32 = nn.conv2d_forward(x32, nn.ConvFilterBank(w32, b32))
-        gx32, gw32, gb32 = nn.conv2d_backward(nn.ConvFilterBank(w32, b32), cache32, u32)
+        _, cache32 = nn.conv2d_forward(x32, nn.Layer(w32, b32))
+        gx32, gw32, gb32 = nn.conv2d_backward(nn.Layer(w32, b32), cache32, u32)
 
         params = {"x": x.copy(), "w": w.copy(), "b": b.copy()}
 
         def loss():
-            y, _ = nn.conv2d_forward(params["x"], nn.ConvFilterBank(params["w"], params["b"]))
+            y, _ = nn.conv2d_forward(params["x"], nn.Layer(params["w"], params["b"]))
             return float((y * u).sum())
 
         res64 = grad_check(loss, params, {"x": gx64, "w": gw64, "b": gb64}, epsilon=1e-5)
@@ -568,10 +568,10 @@ def fd_sweep_dense(trials: int = 100) -> dict[str, float]:
             continue
         done += 1
 
-        layer64 = nn.DenseLayer(w, b)
+        layer64 = nn.Layer(w, b)
         _, cache64 = nn.dense_forward(x, layer64, "relu")
         gx64, gw64, gb64 = nn.dense_backward(layer64, cache64, u)
-        layer32 = nn.DenseLayer(w.astype(np.float32), b.astype(np.float32))
+        layer32 = nn.Layer(w.astype(np.float32), b.astype(np.float32))
         _, cache32 = nn.dense_forward(x.astype(np.float32), layer32, "relu")
         gx32, gw32, gb32 = nn.dense_backward(layer32, cache32, u.astype(np.float32))
 
@@ -579,7 +579,7 @@ def fd_sweep_dense(trials: int = 100) -> dict[str, float]:
 
         def loss():
             y, _ = nn.dense_forward(
-                params["x"], nn.DenseLayer(params["w"], params["b"]), "relu"
+                params["x"], nn.Layer(params["w"], params["b"]), "relu"
             )
             return float((y * u).sum())
 

@@ -88,6 +88,19 @@ class TestStats:
         assert manifest["command"] == "stats"
         assert manifest["input_digests"]
 
+    def test_document_order_changes_no_byte(self, tmp_path, capsys):
+        # Sentence counts 1, 2, 1, 1, 1: np.std gives 0.4000000000000001 over
+        # them in this order and 0.4 in the reverse one.
+        docs = [corpus.RawDocument(0, [" ".join(["Alpha beta."] * n)]) for n in (1, 2, 1, 1, 1)]
+        outs = []
+        for name, rows in (("forward.csv", docs), ("reversed.csv", docs[::-1])):
+            code, out, _ = run_cli(
+                ["stats", "--input", str(helpers.write_dataset_csv(tmp_path / name, rows))], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["stddev_sentences_per_doc"] == 0.4
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, synth_train_csv, synth_embeddings):
@@ -410,6 +423,20 @@ class TestTrain:
         assert json.loads((out_dir / "report.json").read_text())["val_accuracy"] == []
         assert not (out_dir / "model_best.slcnn").exists()
 
+    def test_a_run_without_validation_leaves_no_earlier_best_model(
+            self, synth_train_csv, synth_embeddings, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        argv = ["train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+                "--out-dir", str(out_dir), "--limit", "8", "--epochs", "1", "--batch-size", "8"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert (out_dir / "model_best.slcnn").is_file()
+        assert run_cli(argv + ["--val-frac", "0"], capsys)[0] == 0
+        assert not (out_dir / "model_best.slcnn").exists()
+        # The directory holds this run's outputs and its manifest, nothing else.
+        outputs = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            [Path(p).name for p in outputs] + ["manifest.json"])
+
     def test_val_frac_leaving_no_training_document_exits_2(self, tmp_path, capsys):
         # Rejected with the other settings, before the (malformed) embedding
         # file is parsed.
@@ -688,8 +715,7 @@ class TestEval:
         # second predict_labels() pass, counted one document at a time.
         net = m.load_checkpoint(trained / "model.slcnn")
         table = embedding.load_embeddings(synth_embeddings, net.config.embed_dim)
-        docs = cli._load_docs(argparse.Namespace(schema=None, strict=False), synth_train_csv,
-                              48, net.config.seed)
+        docs = cli._load_docs(argparse.Namespace(schema=None, strict=False), synth_train_csv, 48)
         data = m.EmbeddedDataset.build(
             corpus.build_grid_dataset(docs, net.config.doc_len, corpus.SENT_LEN), table
         )
@@ -699,6 +725,25 @@ class TestEval:
         payload = json.loads(out)
         assert payload["accuracy"] == m.evaluate(net, data)
         assert payload["confusion_matrix"] == want.tolist()
+
+    def test_limit_draws_the_same_documents_for_every_checkpoint(
+            self, trained, synth_train_csv, synth_embeddings, tmp_path, capsys):
+        # The same parameters under another recorded seed (trained's is 3).
+        net = m.load_checkpoint(trained / "model.slcnn")
+        reseeded = tmp_path / "reseeded.slcnn"
+        m.save_checkpoint(m.build_model(dataclasses.replace(net.config, seed=0),
+                                        dict(net.param_blocks())), reseeded)
+        payloads = []
+        for checkpoint in (trained / "model.slcnn", reseeded):
+            code, out, _ = run_cli([
+                "eval", "--checkpoint", str(checkpoint), "--input", str(synth_train_csv),
+                "--embeddings", str(synth_embeddings), "--limit", "24",
+            ], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            del payload["checkpoint"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_limit_below_one_exits_2(self, trained, synth_train_csv, synth_embeddings, capsys,

@@ -352,21 +352,21 @@ class TestCorpusStats:
     def test_single_trivial_document(self):
         docs = [RawDocument(0, ["One two three."])]
         stats = corpus_stats(docs)
-        assert stats.num_documents == 1
-        assert stats.num_sentences == 1
-        assert stats.pct_cropped_sentences == 0
-        assert stats.pct_cropped_documents == 0
-        assert stats.pct_docs_with_cropped_sentences == 0
-        assert stats.t_d == 1
-        assert stats.vocab_size == 3
+        assert stats["num_documents"] == 1
+        assert stats["num_sentences"] == 1
+        assert stats["pct_cropped_sentences"] == 0
+        assert stats["pct_cropped_documents"] == 0
+        assert stats["pct_docs_with_cropped_sentences"] == 0
+        assert stats["t_d"] == 1
+        assert stats["vocab_size"] == 3
 
     def test_boundary_strictly_greater(self):
         word_47 = " ".join(f"tok{i}" for i in range(47)) + "."
         word_46 = " ".join(f"tok{i}" for i in range(46)) + "."
         stats = corpus_stats([RawDocument(0, [word_47]), RawDocument(1, [word_47])])
-        assert stats.pct_cropped_sentences == 100.0
+        assert stats["pct_cropped_sentences"] == 100.0
         stats_ok = corpus_stats([RawDocument(0, [word_46])])
-        assert stats_ok.pct_cropped_sentences == 0.0
+        assert stats_ok["pct_cropped_sentences"] == 0.0
 
     def test_against_bruteforce_oracle(self):
         docs = helpers.make_synthetic_docs(25, num_classes=4, seed=3, html_noise=True)
@@ -376,20 +376,20 @@ class TestCorpusStats:
         expected = helpers.corpus_stats_bruteforce(docs, 46)
         assert expected["pct_cropped_sentences"] > 0
         for key, value in expected.items():
-            got = getattr(stats, key)
+            got = stats[key]
             assert got == pytest.approx(value), key
 
     def test_percentages_in_range_and_max_vs_mean(self):
         docs = helpers.make_synthetic_docs(10, seed=9)
         stats = corpus_stats(docs)
         for pct in (
-            stats.pct_cropped_sentences,
-            stats.pct_cropped_documents,
-            stats.pct_docs_with_cropped_sentences,
+            stats["pct_cropped_sentences"],
+            stats["pct_cropped_documents"],
+            stats["pct_docs_with_cropped_sentences"],
         ):
             assert 0.0 <= pct <= 100.0
-        assert stats.max_sentences_per_doc >= stats.mean_sentences_per_doc
-        assert stats.t_d >= math.ceil(stats.mean_sentences_per_doc - 1e-9)
+        assert stats["max_sentences_per_doc"] >= stats["mean_sentences_per_doc"]
+        assert stats["t_d"] >= math.ceil(stats["mean_sentences_per_doc"] - 1e-9)
 
 
 # --------------------------------------------------------------------------

@@ -309,7 +309,7 @@ class TestTrain:
         # nothing else in a training step may move a parameter.
         monkeypatch.setattr(nn, "adam_step", lambda *args: None)
         report = train(net, data)
-        assert len(set(report.train_loss)) == 1
+        assert len(set(report["train_loss"])) == 1
         for arr, (_, now) in zip(before, net.param_blocks()):
             assert np.array_equal(arr, now)
 
@@ -321,7 +321,7 @@ class TestTrain:
                               epochs=3, batch_size=8)
             net = build_model(cfg)
             report = train(net, data)
-            return report.train_loss, _param_copies(net)
+            return report["train_loss"], _param_copies(net)
 
         loss_a, params_a = run()
         loss_b, params_b = run()
@@ -335,14 +335,14 @@ class TestTrain:
                           epochs=3, batch_size=5)
         net = build_model(cfg)
         report = train(net, data, data)
-        assert len(report.train_loss) == 3
-        assert len(report.train_accuracy) == 3
-        assert len(report.val_accuracy) == 3
-        assert len(report.epoch_seconds) == 3
-        assert report.best_val_epoch is not None
+        assert len(report["train_loss"]) == 3
+        assert len(report["train_accuracy"]) == 3
+        assert len(report["val_accuracy"]) == 3
+        assert len(report["epoch_seconds"]) == 3
+        assert report["best_val_epoch"] is not None
         assert [(name, arr.shape) for name, arr in net.best_params.items()] == \
             model._param_shapes(cfg)
-        assert all(0.0 <= a <= 1.0 for a in report.train_accuracy + report.val_accuracy)
+        assert all(0.0 <= a <= 1.0 for a in report["train_accuracy"] + report["val_accuracy"])
 
     def test_one_step_resident(self, monkeypatch):
         # Every array the caches of a step's forward reach (conv inputs,
@@ -434,7 +434,7 @@ class TestEvaluate:
                           epochs=60, batch_size=10, dropout_rate=0.0)
         net = build_model(cfg)
         report = train(net, data)
-        assert report.train_accuracy[-1] == 1.0
+        assert report["train_accuracy"][-1] == 1.0
         assert evaluate(net, data) == 1.0
 
     def test_label_permutation_complement(self):
@@ -693,7 +693,7 @@ class TestRowBlocks:
             with helpers.num_filters(16):
                 net = build_model(cfg)
             report = train(net, data)
-            return report.train_loss, _param_copies(net)
+            return report["train_loss"], _param_copies(net)
 
         loss_a, params_a = run()
         loss_b, params_b = run()
@@ -832,7 +832,7 @@ class TestLengthAwareTrunk:
             with helpers.num_filters(16):
                 net = build_model(cfg)
             report = train(net, data)
-            return report.train_loss, _param_copies(net)
+            return report["train_loss"], _param_copies(net)
 
         loss_a, params_a = run()
         loss_b, params_b = run()

@@ -12,11 +12,11 @@ F32 = np.float32
 F64 = np.float64
 
 
-def _bank(w, b=None, dtype=F32) -> nn.ConvFilterBank:
+def _bank(w, b=None, dtype=F32) -> nn.Layer:
     w = np.asarray(w, dtype=dtype)
     if b is None:
         b = np.zeros(w.shape[0], dtype=dtype)
-    return nn.ConvFilterBank(w, np.asarray(b, dtype=dtype))
+    return nn.Layer(w, np.asarray(b, dtype=dtype))
 
 
 # --------------------------------------------------------------------------
@@ -199,12 +199,12 @@ class TestMaxPool:
 
 class TestDense:
     def test_identity_weights_relu(self):
-        layer = nn.DenseLayer(np.eye(2, dtype=F32), np.zeros(2, F32))
+        layer = nn.Layer(np.eye(2, dtype=F32), np.zeros(2, F32))
         y, _ = nn.dense_forward(np.array([[-1.0, 2.0]], F32), layer, "relu")
         assert y.tolist() == [[0.0, 2.0]]
 
     def test_hand_affine(self):
-        layer = nn.DenseLayer(np.array([[1.0, 1.0]], F32), np.array([0.5], F32))
+        layer = nn.Layer(np.array([[1.0, 1.0]], F32), np.array([0.5], F32))
         y, _ = nn.dense_forward(np.array([[1.0, 2.0]], F32), layer, "identity")
         assert y.tolist() == [[3.5]]
 

@@ -86,7 +86,7 @@ def test_traced_eval_has_the_spans_the_bench_reads(prepared, synth_train_csv,
 
 def test_traced_train_reads_the_backward_caches(synth_train_csv, synth_test_csv,
                                                 synth_embeddings, tmp_path):
-    # The tracer reads ConvCache.x and PoolCache.axis_index / in_shape.
+    # The tracer reads Cache.x and PoolCache.axis_index / in_shape.
     spans = _trace(tmp_path, ["train", "--input", str(synth_train_csv),
                               "--embeddings", str(synth_embeddings),
                               "--out-dir", str(tmp_path / "run"), "--limit", "8", "--td", "2",
