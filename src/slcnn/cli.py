@@ -235,7 +235,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     docs = _load_docs(args, train_path, args.limit, args.seed)
     val_docs = _load_docs(args, val_path) if val_path else []
-    test_docs = _load_docs(args, test_path, args.test_limit, args.seed) if test_path else []
+    test_docs = _load_docs(args, test_path, args.test_limit) if test_path else []
     num_classes = args.classes if args.classes is not None else max(d.label for d in docs) + 1
     for path, dataset in ((train_path, docs), (val_path, val_docs), (test_path, test_docs)):
         if dataset:
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_int_at_least,
                    help="train on a seeded subset of N documents")
     p.add_argument("--test-limit", type=_int_at_least,
-                   help="evaluate on a seeded subset of N test documents")
+                   help="evaluate on a fixed subset of N test documents, the same for any --seed")
     p.add_argument("--out-dir", required=True)
     common_io(p)
     p.set_defaults(handler=cmd_train)

@@ -12,21 +12,24 @@ has the paper's k = 128 filters (NUM_FILTERS).
 The model reads a batch as its int32 grid ids (documents, sentences, words)
 and the frozen embedding matrix they index.  Pad is id 0 and nothing else.
 The HCBs never mix rows, and they compute only the live part of each
-sentence row: up to its last id that is not pad.  Every HCB op is a 1x2
-valid conv or a 2-wide pool, so every column whose receptive field is all
-pad holds one constant per HCB, which the trunk computes once per batch on
-a 4-wide all-pad row.  A row with L live words keeps L live columns through
-each conv and ceil(L / 2) through each pool.  The trunk sorts the batch's
-rows by live length and runs them in blocks of at most ROW_BLOCK rows, each
-gathering the vectors of the width its longest row needs; after each pool
-the pad constant's columns widen it.  All-pad rows take the last constant.
-The blocks are balanced: ceil(R / ROW_BLOCK) blocks whose sizes differ by
-at most one, so no block is tiny (BLAS rounds tiny GEMMs differently).  The
-backward pass walks the same blocks, adds their conv gradients in block
-order, and then adds those of the pad constants, into which the gradients
-of every pad column and all-pad row are summed.  A batch of full rows runs
-exactly the GEMMs of a dense trunk over the batch's own row order.  The VCB
-and the dense head run on the whole batch.
+sentence row: the columns whose receptive field holds one of its words, up
+to its last id that is not pad.  Every HCB op is a 1x2 valid conv or a
+2-wide pool, so every column whose receptive field is all pad holds one
+constant per op, which the trunk computes once per batch on a 4-wide
+all-pad row (the pad chain).  Through an op over W columns, a row with L
+live columns keeps min(L, W - 1) through a conv and min(ceil(L / 2), W // 2)
+through a pool.  The trunk sorts the batch's rows by live length and runs
+them in blocks of at most ROW_BLOCK rows, each of which packs its rows'
+live columns back to back: every conv and pool runs on the gather of its
+live outputs' receptive fields, whose second column, where it is pad, reads
+that op's input constant.  All-pad rows take the last constant.  The blocks
+are balanced: ceil(R / ROW_BLOCK) blocks whose sizes differ by at most one,
+so no block is tiny (BLAS rounds tiny GEMMs differently).  The backward
+pass walks the same blocks, adds their conv gradients in block order, and
+then adds those of the pad constants, into which the gradients of every
+pad second column and all-pad row are summed.  A batch of full rows has no
+pad field and runs exactly the GEMMs of a dense trunk over the batch's own
+row order.  The VCB and the dense head run on the whole batch.
 
 Embeddings are frozen and live outside the model; trainable parameters
 are exactly the conv banks and the three dense layers.  One table,
@@ -69,12 +72,15 @@ FC_SIZES = {"small": 512, "large": 1024}
 
 EVAL_BATCH = 256  # documents per forward pass of predict_labels and evaluate
 
-# Sentence rows per block of the HCB trunk.  A block's widest activation
-# (128 x 45 x 128 float32, 2.9 MB) fits a 4 MiB L2 cache, where the whole
-# Yelp-shape batch (1,280 rows, 29 MB) does not.  On a 2-core Xeon at one
-# BLAS thread, with length-sorted blocks, 128 gave the fastest training step
-# at the Yelp shape (batch 64, 20 rows per doc; 64-384 tried) and tied 64
-# at the AG shape (4 rows per doc).
+# Sentence rows per block of the HCB trunk.  A block's widest activation is
+# its first conv's output, one 128-float column per live column: at most
+# 128 x 45 x 128 float32 (2.9 MB, every row full), which fits a 4 MiB L2
+# cache where the whole Yelp-shape batch (1,280 rows) does not; the bench's
+# rows hold 7 to 10 live words.  On a 2-core Xeon at one BLAS thread, with
+# length-sorted blocks each run at its longest row's width, 128 gave the
+# fastest training step at the Yelp shape (batch 64, 20 rows per doc; 64-384
+# tried) and tied 64 at the AG shape (4 rows per doc); with packed blocks,
+# 64, 256 and 512 were not faster.
 ROW_BLOCK = 128
 
 # Seed-stream ids so shuffling, dropout, and init never share a stream.
@@ -188,32 +194,40 @@ class Model:
         hold no block's conv and pool caches unless *train*.
 
         Rows are sorted by live length, longest first (ties keep their
-        order), and cut into row blocks.  Each block gathers the vectors of
-        the columns its longest row needs (see _live_width), and after each
-        pool it is widened with that HCB's pad constant for the next one.
-        All-pad rows skip the blocks and take the last HCB's constant."""
+        order), and cut into row blocks.  A block packs its rows' live
+        columns back to back, and each conv and pool runs on the gather of
+        its live outputs' receptive fields (see _fields).  All-pad rows skip
+        the blocks and take the last HCB's constant."""
         hcbs = self._hcb_banks()
         pads, pad_caches = self._pad_chain(matrix)
         lengths = _live_lengths(ids)
         order = np.argsort(-lengths, kind="stable")
         live_rows = int(np.count_nonzero(lengths))
-        out = np.empty((len(ids), 1, 1, pads[-1].shape[3]), matrix.dtype)
+        out = np.empty((len(ids), 1, 1, pads[-1].shape[-1]), matrix.dtype)
         out[order[live_rows:]] = pads[-1]
         blocks = []
         for block in _row_blocks(live_rows):
             idx = order[block]
-            width = _live_width(int(lengths[idx[0]]), ids.shape[1])
-            y = matrix[ids[idx, :width]][:, None]
-            caches, lives = [], []
+            live, width, x = lengths[idx], ids.shape[1], matrix
+            # The first conv gathers embedding rows by the packed columns' ids.
+            index = ids[idx][np.arange(width) < live[:, None]]
+            levels = []
             for level, banks in enumerate(hcbs):
-                lives.append(y.shape[2])
-                if level:
-                    y = _widen(y, pads[level - 1], HCB_WIDTHS[level - 1])
-                y, cache = _block_forward(y, banks, nn.HORIZONTAL)
-                if train:  # eval holds one level's caches at a time
-                    caches.append(cache)
-            out[idx] = y
-            blocks.append((idx, caches, lives))
+                caches = []
+                for bank, pad in zip((*banks, None), pads[3 * level : 3 * level + 3]):
+                    stride = 2 if bank is None else 1
+                    fields, live = _fields(live, width, stride)
+                    if bank is None:
+                        y, cache = nn.maxpool_forward(_pool_fields(x, fields, pad), nn.HORIZONTAL)
+                    else:
+                        y, cache = nn.conv2d_forward(_conv_fields(x, fields, pad, index), bank)
+                        index = None
+                    if train:  # eval keeps no op's cache or fields
+                        caches.append((cache, fields))
+                    x, width = y.reshape(len(y), -1), (width - 2) // stride + 1
+                levels.append(caches)
+            out[idx] = x[:, None, None]
+            blocks.append((idx, levels))
         return out, (order[live_rows:], blocks, pad_caches)
 
     def _hcb_banks(self) -> list[list[nn.Layer]]:
@@ -221,53 +235,68 @@ class Model:
         return [self.conv_banks[i : i + 2] for i in range(0, len(self.conv_banks), 2)]
 
     def _pad_chain(self, matrix: np.ndarray) -> tuple[list[np.ndarray], list]:
-        """Each HCB's output on an all-pad row, one (1, 1, 1, c) constant
-        per HCB, and the caches: every HCB runs on 4 columns of the previous
-        constant (of the pad id's row of *matrix* for the first)."""
+        """The pad constants, each a (c,) vector: every HCB's input, conv1
+        output and conv2 output on an all-pad row, then the last HCB's
+        output; and the chain's caches.  Every HCB runs on 4 columns of the
+        previous constant (of the pad id's row of *matrix* for the first)."""
         y = np.repeat(matrix[None, None, :1], 4, axis=2)
         pads, caches = [], []
         for banks in self._hcb_banks():
-            pad, cache = _block_forward(y, banks, nn.HORIZONTAL)
-            pads.append(pad)
-            caches.append(cache)
+            y1, c1 = nn.conv2d_forward(y, banks[0])
+            y2, c2 = nn.conv2d_forward(y1, banks[1])
+            pad, cp = nn.maxpool_forward(y2, nn.HORIZONTAL)
+            pads += [y[0, 0, 0], y1[0, 0, 0], y2[0, 0, 0]]
+            caches.append((c1, c2, cp))
             y = np.repeat(pad, 4, axis=2)
-        return pads, caches
+        return pads + [pad[0, 0, 0]], caches
 
     def _hcbs_backward(self, cache: tuple, g: np.ndarray) -> list[np.ndarray]:
         """Conv-bank gradients of the HCBs for output gradients g (R, 1, 1, c),
         in param_blocks() order.
 
-        Each block's gradients are added in block order.  The gradients
-        that reach a block's pad columns, and the output gradients of the
-        all-pad rows, are summed into their HCB's constant; the constants
-        then backpropagate through the pad chain, last HCB first, and their
-        bank gradients are added after the blocks'.  The first conv reads
-        the frozen embeddings, so its input gradient is never formed."""
+        Each block's gradients are added in block order.  The gradients of
+        the pad fields' second columns, and the output gradients of the
+        all-pad rows, are summed into their pad constant; the constants then
+        backpropagate through the pad chain, last HCB first, each joining
+        it at the op that outputs it, and their bank gradients are added
+        after the blocks'.  The first conv reads the frozen embeddings, so
+        its input gradient is never formed."""
         dead, blocks, pad_caches = cache
         hcbs = self._hcb_banks()
         grads = [np.zeros(arr.shape, g.dtype)
                  for bank in self.conv_banks for arr in (bank.weights, bank.biases)]
-        pad_grads = [np.zeros(g.shape[3], g.dtype) for _ in hcbs]
+        # One per pad constant that a block reads: each HCB's input, conv1
+        # output and conv2 output.
+        pad_grads = [np.zeros(g.shape[3], g.dtype) for _ in range(3 * len(hcbs))]
 
         def add(level: int, parts: list[np.ndarray]) -> None:
             for acc, part in zip(grads[4 * level : 4 * level + 4], parts):
                 acc += part
 
-        for idx, caches, lives in blocks:
+        for idx, levels in blocks:
             gb = g[idx]
             for level in reversed(range(len(hcbs))):
-                gb, parts = _block_backward(hcbs[level], caches[level], gb, level > 0)
-                add(level, parts)
+                (c1, f1), (c2, f2), (cp, fp) = levels[level]
+                p_in, p1, p2 = pad_grads[3 * level : 3 * level + 3]
+                gb = _pool_input_grad(nn.maxpool_backward(cp, gb), fp, p2)
+                gb, gw2, gb2 = nn.conv2d_backward(hcbs[level][1], c2, gb)
+                gb = _conv_input_grad(gb, f2, p1)
+                gb, gw1, gb1 = nn.conv2d_backward(hcbs[level][0], c1, gb, level > 0)
+                add(level, [gw1, gb1, gw2, gb2])
                 if level:
-                    pad_grads[level - 1] += gb[:, :, lives[level]:].sum(axis=(0, 1, 2))
-                    gb = gb[:, :, : lives[level]]
-        pad_grads[-1] += g[dead].sum(axis=(0, 1, 2))
+                    gb = _conv_input_grad(gb, f1, p_in)
+        gp = g[dead].sum(axis=(0, 1, 2))
         for level in reversed(range(len(hcbs))):
-            gp, parts = _block_backward(hcbs[level], pad_caches[level],
-                                        pad_grads[level].reshape(1, 1, 1, -1), level > 0)
-            add(level, parts)
+            (c1, c2, cp), banks = pad_caches[level], hcbs[level]
+            p_in, p1, p2 = pad_grads[3 * level : 3 * level + 3]
+            gp = nn.maxpool_backward(cp, gp.reshape(1, 1, 1, -1))
+            gp[0, 0, 0] += p2
+            gp, gw2, gb2 = nn.conv2d_backward(banks[1], c2, gp)
+            gp[0, 0, 0] += p1
+            gp, gw1, gb1 = nn.conv2d_backward(banks[0], c1, gp, level > 0)
+            add(level, [gw1, gb1, gw2, gb2])
             if level:
-                pad_grads[level - 1] += gp.sum(axis=(0, 1, 2))
+                gp = p_in + gp.sum(axis=(0, 1, 2))
         return grads
 
     def forward(self, ids: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -348,21 +377,85 @@ def _live_lengths(ids: np.ndarray) -> np.ndarray:
     return np.where(live.any(axis=1), last, 0)
 
 
-def _live_width(live: int, width: int) -> int:
-    """Columns an HCB needs for rows of at most *live* live columns out of
-    *width*: 2 * ceil(live / 2) + 2, capped at *width*.  Its pool then
-    yields ceil(live / 2) columns, or all of them: every column whose
-    receptive field holds a live column."""
-    return min(live + live % 2 + 2, width)
+def _fields(live: np.ndarray, width: int, stride: int) -> tuple[tuple, np.ndarray]:
+    """The receptive fields of a 2-wide op of *stride* (1, a conv; 2, a
+    pool) over rows of *live* columns out of *width*, packed back to back,
+    and the rows' live output columns: min(L, width - 1) through a conv,
+    min(ceil(L / 2), width // 2) through a pool, one per field that holds a
+    live column.  The fields, numbered row by row, are given by each one's
+    first column, each row's last field, and whether that field's second
+    column is pad (if not, a conv's row is full, and its last column is in
+    no field's first tap).  A pool's input width (44, 20, 8 or 2) is even,
+    so each of its live columns is in exactly one field."""
+    count = np.minimum(-(-live // stride), (width - 2) // stride + 1)
+    ends, columns = np.cumsum(count), np.cumsum(live)
+    # Per row: its first column, less stride times its first field's number.
+    starts = columns - live - stride * (ends - count)
+    first = np.repeat(starts, count) + stride * np.arange(ends[-1])
+    return (first, ends - 1, stride * (count - 1) + 1 >= live), count
 
 
-def _widen(y: np.ndarray, pad: np.ndarray, width: int) -> np.ndarray:
-    """Block *y* (R, 1, live, c), widened with columns of the constant *pad*
-    to the columns the next HCB needs out of its *width*."""
-    extra = _live_width(y.shape[2], width) - y.shape[2]
-    if not extra:
-        return y
-    return np.concatenate([y, np.broadcast_to(pad, (len(y), 1, extra, y.shape[3]))], axis=2)
+def _conv_fields(x: np.ndarray, fields: tuple, pad: np.ndarray,
+                 index: np.ndarray | None = None) -> np.ndarray:
+    """A conv's fields (F, 1, 2, c) over packed columns x (n, c), or over
+    the rows of x that *index* (n,) names, gathered tap-major: each tap is
+    one contiguous (F, c) block.  A field's second column is the next
+    field's first but at a row's last field: pad, which reads *pad* (c,),
+    or a full row's last column."""
+    first, last, padded = fields
+    tails = first[last[~padded]] + 1
+    if index is not None:
+        first, tails = index[first], index[tails]
+    taps = np.empty((2, len(first), x.shape[1]), x.dtype)
+    np.take(x, first, axis=0, out=taps[0], mode="clip")  # "raise" would buffer *out*
+    taps[1, :-1] = taps[0, 1:]
+    taps[1, last[~padded]] = x[tails]
+    taps[1, last[padded]] = pad
+    return taps.transpose(1, 0, 2)[:, None]
+
+
+def _pool_fields(x: np.ndarray, fields: tuple, pad: np.ndarray) -> np.ndarray:
+    """A pool's fields (F, 1, 2, c) over packed columns x (n, c), field-major:
+    x itself when no field holds pad, else gathered, with *pad* (c,) for
+    each row whose last field's second column is pad."""
+    first, last, padded = fields
+    if not padded.any():
+        return x.reshape(-1, 1, 2, x.shape[1])
+    # The last row's pad slot indexes one past x's end; it is overwritten.
+    slots = np.take(x, (first[:, None] + np.arange(2)).ravel(), axis=0, mode="clip")
+    slots[2 * last[padded] + 1] = pad
+    return slots.reshape(-1, 1, 2, x.shape[1])
+
+
+def _conv_input_grad(g: np.ndarray, fields: tuple, pad_grad: np.ndarray) -> np.ndarray:
+    """Gradient (n, 1, 1, c) of a conv's packed input columns from its
+    fields' gradients g (F, 1, 2, c), which it overwrites: each column's
+    first-tap part, then its second-tap part, which the field before it
+    holds unless the column starts its row.  A pad second column's part is
+    summed into *pad_grad*; a full row's last column has only that part."""
+    _, last, padded = fields
+    g0, g1 = g[:, 0, 0], g[:, 0, 1]
+    pad_grad += g1[last[padded]].sum(axis=0)
+    full = last[~padded]
+    tail = g1[full]
+    g1[last] = 0
+    g0[1:] += g1[:-1]
+    if len(full):
+        g0 = np.insert(g0, full + 1, tail, axis=0)
+    return g0[:, None, None]
+
+
+def _pool_input_grad(g: np.ndarray, fields: tuple, pad_grad: np.ndarray) -> np.ndarray:
+    """Gradient (n, 1, 1, c) of a pool's packed input columns from its
+    fields' gradients g (F, 1, 2, c): the fields' slots in order, less the
+    pad slots, whose parts are summed into *pad_grad*."""
+    _, last, padded = fields
+    slots = g.reshape(-1, g.shape[3])
+    pads = 2 * last[padded] + 1
+    pad_grad += slots[pads].sum(axis=0)
+    if len(pads):
+        slots = np.delete(slots, pads, axis=0)
+    return slots[:, None, None]
 
 
 # --------------------------------------------------------------------------
@@ -459,8 +552,8 @@ def train(
     of the best-validation ones, a parameter table for build_model.  Each
     step runs in _train_step, whose caches and gradients are freed when it
     returns, so one step's working set is resident at a time (a Yelp-shape
-    batch caches 45 MiB).  numpy's overflow and invalid-value warnings are
-    off: a diverging run reports itself once, as TrainingDivergedError.
+    batch caches about 57 MiB).  numpy's overflow and invalid-value warnings
+    are off: a diverging run reports itself once, as TrainingDivergedError.
     """
     cfg = model.config
     n = len(train_data)

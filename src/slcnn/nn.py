@@ -12,10 +12,12 @@ non-finite logits and gradients, the training step judges as divergence.
 Determinism contract: every op is a fixed sequence of numpy calls on its
 operands.  Convolution adds one matmul over the channel axis per filter
 tap, in row-major (a, b) order; the model runs its HCB trunk in
-length-sorted row blocks (see model.py) and sums their weight gradients in
-block order, then those of the pad constants.  The GEMM shapes, and so the
-rounding, depend on each batch's mix of sentence lengths, but that mix is a
-function of the batch's grid ids, so the summation order is too.  Reductions
+length-sorted row blocks that pack their rows' live columns (see model.py),
+and sums their weight gradients in block order, then those of the pad
+constants.  Each HCB GEMM has one row per live output column of its block,
+so the GEMM shapes, and with them the rounding, depend on each batch's mix
+of sentence lengths; that mix is a function of the batch's grid ids, so
+the summation order is too.  Reductions
 never depend on the iteration order of hashes or sets.  With a fixed BLAS
 thread count, results are bit-identical across runs.
 """

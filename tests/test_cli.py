@@ -216,6 +216,30 @@ class TestTrain:
         assert flag in err
         assert not out_dir.exists()
 
+    def test_test_limit_draws_the_same_documents_for_every_seed(
+            self, synth_train_csv, synth_test_csv, synth_embeddings, tmp_path, capsys,
+            monkeypatch):
+        drawn = []
+
+        def recording(args, path, *rest):
+            docs = load_docs(args, path, *rest)
+            if path == synth_test_csv:
+                drawn.append(docs)
+            return docs
+
+        load_docs = cli._load_docs
+        monkeypatch.setattr(cli, "_load_docs", recording)
+        for seed in ("0", "3"):
+            code, _, _ = run_cli([
+                "train", "--input", str(synth_train_csv), "--embeddings", str(synth_embeddings),
+                "--test", str(synth_test_csv), "--out-dir", str(tmp_path / seed),
+                "--limit", "8", "--epochs", "1", "--batch-size", "8", "--seed", seed,
+                "--test-limit", "4",
+            ], capsys)
+            assert code == 0
+        assert len(drawn) == 2 and len(drawn[0]) == 4
+        assert drawn[0] == drawn[1]
+
     def test_classes_below_labels_exits_2(self, synth_train_csv, synth_embeddings, tmp_path,
                                           capsys):
         out_dir = tmp_path / "never"

@@ -799,8 +799,52 @@ class TestLengthAwareTrunk:
         logits, ((hcb_cache, _), *_) = net._forward_with_caches(ids, matrix, None)
         train_logits, ((train_cache, _), *_) = net._forward_with_caches(ids, matrix, rng)
         assert np.array_equal(logits, train_logits)
-        assert [len(caches) for _, caches, _ in hcb_cache[1]] == [0] * len(hcb_cache[1])
-        assert [len(caches) for _, caches, _ in train_cache[1]] == [4] * len(train_cache[1])
+        # Per block, each HCB's conv, conv and pool caches and fields.
+        assert [[len(ops) for ops in levels] for _, levels in hcb_cache[1]] == \
+            [[0] * 4] * len(hcb_cache[1])
+        assert [[len(ops) for ops in levels] for _, levels in train_cache[1]] == \
+            [[3] * 4] * len(train_cache[1])
+
+    def test_convs_compute_only_live_columns(self, row_block, monkeypatch):
+        # A live column is one whose receptive field holds a live word:
+        # L -> min(L, W - 1) through a conv and min(ceil(L / 2), W // 2)
+        # through a pool, from W = 46.  The all-pad rows compute none.
+        want = [0] * 8
+        for length in np.ravel(MIXED_LENGTHS):
+            if not length:
+                continue
+            live, width = int(length), 46
+            for hcb in range(4):
+                for conv in range(2):
+                    live, width = min(live, width - 1), width - 1
+                    want[2 * hcb + conv] += live
+                live, width = min(-(-live // 2), width // 2), width // 2
+        with helpers.num_filters(16):
+            net = build_model(ModelConfig(variant="slcnn", doc_len=4, num_classes=3,
+                                          embed_dim=12, fc_size=16))
+        banks = {id(bank): i for i, bank in enumerate(net.conv_banks)}
+        computed, in_chain = [0] * 8, []
+        conv2d_forward, pad_chain = nn.conv2d_forward, Model._pad_chain
+
+        def counting(x, bank):
+            out, cache = conv2d_forward(x, bank)
+            if not in_chain:  # the pad constants' own convs
+                computed[banks[id(bank)]] += out.shape[0] * out.shape[1] * out.shape[2]
+            return out, cache
+
+        def chain(self, matrix):
+            in_chain.append(True)
+            try:
+                return pad_chain(self, matrix)
+            finally:
+                in_chain.pop()
+
+        monkeypatch.setattr(nn, "conv2d_forward", counting)
+        monkeypatch.setattr(Model, "_pad_chain", chain)
+        rng = np.random.default_rng(65)
+        x = helpers.pad_rows(rng.normal(size=(3, 4, 46, 12)).astype(F32), MIXED_LENGTHS)
+        net._forward_with_caches(*helpers.as_ids(x), rng)
+        assert computed == want
 
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative_zero"])
     @pytest.mark.parametrize("at", ["sentence_end", "mid_sentence"])
@@ -818,9 +862,14 @@ class TestLengthAwareTrunk:
         matrix[0] = 0.0
         word = {"sentence_end": 16, "mid_sentence": 8}[at]
         matrix[ids[1, 1, word]] = zero
-        logits, ((hcb_cache, _), *_) = net._forward_with_caches(ids, matrix, None)
-        _, _, lives = hcb_cache[1][0]  # the first block, which holds the longest row
-        assert lives[0] == 20  # 2 * ceil(17 / 2) + 2 columns; 18 were word 17 pad
+        logits, _ = net._forward_with_caches(ids, matrix, None)
+        _, ((hcb_cache, _), *_) = net._forward_with_caches(ids, matrix, np.random.default_rng(0))
+        _, levels = hcb_cache[1][0]  # the one block: the 17-word row, then the 5-word row
+        _, (first, last, padded) = levels[0][0]  # the first conv's fields
+        # 17 fields for the 17-word row, the last on word 17 and pad: with
+        # the zero vector read as pad it would hold 16 words and 16 fields.
+        assert len(first) == 17 + 5
+        assert last.tolist() == [16, 21] and padded.all()
         assert _max_rel(logits, helpers.dense_oracle(net).forward(ids, matrix)) < 1e-10
 
     def test_same_seed_training_on_padded_rows_bit_identical(self, row_block):
